@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/tieredmem/mtat/internal/cluster"
+	"github.com/tieredmem/mtat/internal/daemon"
 	"github.com/tieredmem/mtat/internal/hypothesis"
 	"github.com/tieredmem/mtat/internal/server"
 	"github.com/tieredmem/mtat/internal/telemetry"
@@ -103,8 +104,8 @@ func cmdExperimentRun(ctx context.Context, c *server.Client, args []string) erro
 		fleetAddr = fs.String("fleet", "", "run via this mtatfleet instead of mtatd (also $MTATFLEET_ADDR when -fleet '' is given explicitly)")
 		local     = fs.Bool("local", false, "run in-process, no daemon needed (slower wall clock: no fleet sharding)")
 		timeout   = fs.Duration("timeout", 0, "give up after this long (0 = forever)")
-		poll      = fs.Duration("poll", server.DefaultPollInterval, "max status poll interval")
-		maxOutage = fs.Duration("max-outage", server.DefaultMaxOutage, "tolerated daemon unreachability before failing (node mode)")
+		poll      = fs.Duration("poll", daemon.DefaultPollInterval, "max status poll interval")
+		maxOutage = fs.Duration("max-outage", daemon.DefaultMaxOutage, "tolerated daemon unreachability before failing (node mode)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -14,6 +14,7 @@ import (
 
 	"github.com/tieredmem/mtat/internal/backoff"
 	"github.com/tieredmem/mtat/internal/cluster"
+	"github.com/tieredmem/mtat/internal/daemon"
 	"github.com/tieredmem/mtat/internal/flight"
 	"github.com/tieredmem/mtat/internal/hypothesis"
 	"github.com/tieredmem/mtat/internal/server"
@@ -39,7 +40,7 @@ func cmdWatch(ctx context.Context, c *server.Client, args []string) error {
 	fs := flag.NewFlagSet("mtatctl watch "+kind, flag.ContinueOnError)
 	var (
 		format    = fs.String("format", "live", "output format: live (human) or jsonl (raw events)")
-		maxOutage = fs.Duration("max-outage", server.DefaultMaxOutage,
+		maxOutage = fs.Duration("max-outage", daemon.DefaultMaxOutage,
 			"tolerated daemon unreachability before failing")
 		fleetAddr = fs.String("fleet", "", "mtatfleet address for sweep/experiment (also $MTATFLEET_ADDR)")
 		specPath  = fs.String("f", "", `experiment spec JSON file ("-" for stdin; experiment only)`)
@@ -174,15 +175,7 @@ func (w *watcher) stream(ctx context.Context,
 // error that reconnecting cannot fix — 4xx except request-timeout and
 // rate-limit backpressure, which behave like transient outages.
 func definitiveErr(err error) bool {
-	code := 0
-	var se *server.APIError
-	var ce *cluster.APIError
-	switch {
-	case errors.As(err, &se):
-		code = se.StatusCode
-	case errors.As(err, &ce):
-		code = ce.StatusCode
-	}
+	code := daemon.StatusCode(err)
 	return code >= 400 && code < 500 &&
 		code != http.StatusRequestTimeout && code != http.StatusTooManyRequests
 }

@@ -15,100 +15,20 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log/slog"
-	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 	"time"
 
+	"github.com/tieredmem/mtat/internal/daemon"
 	"github.com/tieredmem/mtat/internal/server"
 	"github.com/tieredmem/mtat/internal/telemetry"
-	"github.com/tieredmem/mtat/internal/tenant"
 )
 
-// setupLogging installs a structured slog default logger on stderr —
-// the sink for both the API middleware's request lines and the
-// manager's operational lines. Returns an error on an unknown level.
-func setupLogging(level, format string) error {
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(level)); err != nil {
-		return fmt.Errorf("-log-level %q: %w", level, err)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	var h slog.Handler
-	switch strings.ToLower(format) {
-	case "text", "":
-		h = slog.NewTextHandler(os.Stderr, opts)
-	case "json":
-		h = slog.NewJSONHandler(os.Stderr, opts)
-	default:
-		return fmt.Errorf("-log-format %q: want text or json", format)
-	}
-	slog.SetDefault(slog.New(h))
-	return nil
-}
+func main() { daemon.Main("mtatd", start) }
 
-// slogf adapts the structured default logger to the printf-style Logf
-// hooks the manager exposes.
-func slogf(format string, args ...any) {
-	slog.Info(fmt.Sprintf(format, args...))
-}
-
-// loadTenants builds the tenant registry from -tenants. An empty path
-// returns nil, which selects the permissive single-tenant registry —
-// daemons without the flag behave exactly as before multi-tenancy.
-func loadTenants(path string, tel *telemetry.Telemetry) (*tenant.Registry, error) {
-	if path == "" {
-		return nil, nil
-	}
-	cfg, err := tenant.LoadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("-tenants: %w", err)
-	}
-	reg, err := tenant.New(&cfg, tel)
-	if err != nil {
-		return nil, fmt.Errorf("-tenants: %w", err)
-	}
-	slog.Info("tenant config loaded", "path", path, "tenants", reg.Count())
-	return reg, nil
-}
-
-// reloadTenantsOnHUP hot-swaps the tenant set from path on every SIGHUP.
-// A config that no longer parses or validates keeps the previous set —
-// a bad edit must not lock every tenant out.
-func reloadTenantsOnHUP(path string, reg *tenant.Registry, notify func()) {
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	go func() {
-		for range hup {
-			cfg, err := tenant.LoadFile(path)
-			if err != nil {
-				slog.Error("tenant reload failed; keeping previous config", "path", path, "err", err)
-				continue
-			}
-			if err := reg.Reload(cfg); err != nil {
-				slog.Error("tenant reload failed; keeping previous config", "path", path, "err", err)
-				continue
-			}
-			notify()
-			slog.Info("tenant config reloaded", "path", path,
-				"tenants", reg.Count(), "generation", reg.Generation())
-		}
-	}()
-}
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "mtatd:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
+// start parses the flags and builds the run manager and its API.
+func start() (*daemon.Process, error) {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7070", "listen address (use :0 for a free port)")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
@@ -126,13 +46,10 @@ func run() error {
 	)
 	flag.Parse()
 
-	if err := setupLogging(*logLevel, *logFmt); err != nil {
-		return err
-	}
 	tel := telemetry.NewWithConfig(telemetry.Config{Service: "mtatd"})
-	reg, err := loadTenants(*tenants, tel)
+	reg, err := daemon.Setup(*logLevel, *logFmt, *tenants, tel)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	mgr, err := server.NewManager(server.Config{
 		Workers:          *workers,
@@ -144,43 +61,25 @@ func run() error {
 		DataDir:          *dataDir,
 		Fsync:            *fsync,
 		Tenants:          reg,
-		Logf:             slogf,
+		Logf:             daemon.Slogf,
 	})
 	if err != nil {
-		return fmt.Errorf("-data-dir: %w", err)
+		return nil, fmt.Errorf("-data-dir: %w", err)
 	}
-	// SIGHUP re-reads the -tenants file and hot-swaps the tenant set —
-	// the same path as POST /api/v1/config/tenants, minus the network.
-	if *tenants != "" {
-		reloadTenantsOnHUP(*tenants, mgr.Tenants(), mgr.TenantsReloaded)
-	}
+	daemon.ReloadTenantsOnHUP(*tenants, mgr)
 	if st := mgr.Stats(); st.RecoveredRuns > 0 {
 		slog.Info("recovered unfinished runs from journal",
 			"runs", st.RecoveredRuns, "data_dir", *dataDir)
 	}
 
-	srv, err := telemetry.Serve(*addr,
-		server.NewHandlerWith(mgr, tel, server.HandlerConfig{Pprof: *pprof}))
-	if err != nil {
-		return fmt.Errorf("-addr: %w", err)
-	}
-	// The listen line is the machine-readable contract: scripts (and the
-	// CI smoke test) parse the bound address from it.
-	fmt.Printf("mtatd: listening on http://%s (workers %d, queue %d)\n",
-		srv.Addr(), mgr.Workers(), *queueCap)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	stop()
-
-	slog.Info("shutting down", "drain", drain.String())
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := mgr.Shutdown(drainCtx); err != nil {
-		slog.Warn("drain deadline hit, outstanding runs cancelled")
-	}
-	httpCtx, cancelHTTP := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelHTTP()
-	return srv.Shutdown(httpCtx)
+	return &daemon.Process{
+		Addr:    *addr,
+		Handler: server.NewHandlerWith(mgr, tel, server.HandlerConfig{Pprof: *pprof}),
+		ListenLine: func(bound string) string {
+			return fmt.Sprintf("mtatd: listening on http://%s (workers %d, queue %d)",
+				bound, mgr.Workers(), *queueCap)
+		},
+		Drain:    *drain,
+		Shutdown: mgr.Shutdown,
+	}, nil
 }

@@ -5,17 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
-	"strings"
 
+	"github.com/tieredmem/mtat/internal/daemon"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
 	"github.com/tieredmem/mtat/internal/tenant"
 )
-
-// MaxSweepSpecBytes bounds a submitted sweep spec's JSON body.
-const MaxSweepSpecBytes = 1 << 20
 
 // AddNodeRequest is the POST /api/v1/nodes body.
 type AddNodeRequest struct {
@@ -26,12 +22,7 @@ type AddNodeRequest struct {
 }
 
 // HandlerConfig tunes the optional surfaces of the fleet API.
-type HandlerConfig struct {
-	// Pprof mounts the Go profiling endpoints under /debug/pprof/. The
-	// daemon keeps it off unless launched with -pprof; NewHandler turns
-	// it on for embedded/test use.
-	Pprof bool
-}
+type HandlerConfig = daemon.HandlerConfig
 
 // NewHandler is NewHandlerWith with every optional surface enabled.
 func NewHandler(f *Fleet, tel *telemetry.Telemetry) http.Handler {
@@ -45,75 +36,70 @@ func NewHandler(f *Fleet, tel *telemetry.Telemetry) http.Handler {
 //	GET    /api/v1/sweeps/{id}          one sweep's status with per-cell states
 //	GET    /api/v1/sweeps/{id}/results  settled cell summaries (?format=json|jsonl|csv)
 //	GET    /api/v1/sweeps/{id}/events   live SSE stream of sweep state + cell settlements
-//	GET    /api/v1/events               SSE firehose across all sweeps (tenant-scoped)
 //	DELETE /api/v1/sweeps/{id}          cancel a running sweep
 //	GET    /api/v1/status               fleet stats (nodes, sweeps, recovery counts)
 //	GET    /api/v1/nodes                node pool with health and load
 //	POST   /api/v1/nodes                register a mtatd node {"addr","weight"}
 //	DELETE /api/v1/nodes/{name}         deregister a node (by name or address)
-//	GET    /api/v1/traces               retained distributed traces (summaries, NDJSON)
-//	GET    /api/v1/traces/{id}          one trace's spans as JSONL
-//	GET    /healthz                     liveness probe
-//	GET    /readyz                      readiness probe (replay done, recovery resumed)
+//	GET    /metrics/federate            merged fleet-wide Prometheus exposition
 //
-// tel is the fleet-level telemetry sink; its handler is mounted at
-// /metrics and /trace (nil serves empty snapshots) — plus /debug/pprof/
-// when cfg.Pprof is set — and every route is wrapped in
-// telemetry.Middleware for request metrics, server spans, and structured
-// logs.
+// plus the routes every daemon serves (daemon.Handler): the SSE
+// firehose across all sweeps, traces, tenants, probes — /readyz demands
+// journal replay done and recovered sweeps resumed — and tel's
+// /metrics, /trace and, with cfg.Pprof, /debug/pprof/.
 func NewHandlerWith(f *Fleet, tel *telemetry.Telemetry, cfg HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /api/v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, MaxSweepSpecBytes))
+		body, err := io.ReadAll(io.LimitReader(r.Body, daemon.MaxBodyBytes))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+			daemon.WriteError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 			return
 		}
 		spec, err := sim.ParseSweepSpec(body)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			daemon.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		st, err := f.SubmitCtx(r.Context(), spec)
 		var qe *tenant.QuotaError
 		switch {
 		case errors.Is(err, ErrFleetClosed):
-			writeError(w, http.StatusServiceUnavailable, err)
+			daemon.WriteError(w, http.StatusServiceUnavailable, err)
 		case errors.As(err, &qe):
 			// Per-tenant admission rejection: tell the client when its
 			// rate bucket refills (or a generic hint for quota/cost).
 			w.Header().Set("Retry-After", tenant.RetryAfterSeconds(qe.RetryAfter))
-			writeError(w, http.StatusTooManyRequests, err)
+			daemon.WriteError(w, http.StatusTooManyRequests, err)
 		case err != nil:
-			writeError(w, http.StatusBadRequest, err)
+			daemon.WriteError(w, http.StatusBadRequest, err)
 		default:
-			writeJSON(w, http.StatusAccepted, st)
+			daemon.WriteJSON(w, http.StatusAccepted, st)
 		}
 	})
 
 	mux.HandleFunc("GET /api/v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.List())
+		daemon.WriteJSON(w, http.StatusOK, f.List())
 	})
 
 	mux.HandleFunc("GET /api/v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := f.Get(r.PathValue("id"))
 		if err != nil {
-			writeError(w, http.StatusNotFound, err)
+			daemon.WriteError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		daemon.WriteJSON(w, http.StatusOK, st)
 	})
 
 	mux.HandleFunc("GET /api/v1/sweeps/{id}/results", func(w http.ResponseWriter, r *http.Request) {
 		sums, err := f.Results(r.PathValue("id"))
 		if err != nil {
-			writeError(w, http.StatusNotFound, err)
+			daemon.WriteError(w, http.StatusNotFound, err)
 			return
 		}
 		switch format := r.URL.Query().Get("format"); format {
 		case "", "json":
-			writeJSON(w, http.StatusOK, sums)
+			daemon.WriteJSON(w, http.StatusOK, sums)
 		case "jsonl":
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			_ = WriteSummariesJSONL(w, sums)
@@ -121,7 +107,7 @@ func NewHandlerWith(f *Fleet, tel *telemetry.Telemetry, cfg HandlerConfig) http.
 			w.Header().Set("Content-Type", "text/csv")
 			_ = WriteSummariesCSV(w, sums)
 		default:
-			writeError(w, http.StatusBadRequest,
+			daemon.WriteError(w, http.StatusBadRequest,
 				fmt.Errorf("cluster: unknown format %q (valid: json, jsonl, csv)", format))
 		}
 	})
@@ -129,197 +115,74 @@ func NewHandlerWith(f *Fleet, tel *telemetry.Telemetry, cfg HandlerConfig) http.
 	mux.HandleFunc("GET /api/v1/sweeps/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		if _, err := f.Get(id); err != nil {
-			writeError(w, http.StatusNotFound, err)
+			daemon.WriteError(w, http.StatusNotFound, err)
 			return
 		}
 		telemetry.ServeSSE(w, r, f.Bus(), sweepTopic(id), nil)
 		f.SyncBusMetrics()
 	})
 
-	// Firehose: every bus event across all sweeps, tenant-scoped. A
-	// non-admin tenant on a tenancy-enabled fleet sees only its own
-	// sweeps' events.
-	mux.HandleFunc("GET /api/v1/events", func(w http.ResponseWriter, r *http.Request) {
-		telemetry.ServeSSE(w, r, f.Bus(), "", fleetEventFilter(f, r))
-		f.SyncBusMetrics()
-	})
-
 	mux.HandleFunc("DELETE /api/v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := f.Cancel(r.PathValue("id"))
 		if err != nil {
-			writeError(w, http.StatusNotFound, err)
+			daemon.WriteError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		daemon.WriteJSON(w, http.StatusOK, st)
 	})
 
 	mux.HandleFunc("GET /api/v1/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.Stats())
+		daemon.WriteJSON(w, http.StatusOK, f.Stats())
 	})
 
 	mux.HandleFunc("GET /api/v1/nodes", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.Reg.Nodes())
+		daemon.WriteJSON(w, http.StatusOK, f.Reg.Nodes())
 	})
 
 	mux.HandleFunc("POST /api/v1/nodes", func(w http.ResponseWriter, r *http.Request) {
 		var req AddNodeRequest
 		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("parse body: %w", err))
+			daemon.WriteError(w, http.StatusBadRequest, fmt.Errorf("parse body: %w", err))
 			return
 		}
 		if req.Addr == "" {
-			writeError(w, http.StatusBadRequest, errors.New("cluster: addr required"))
+			daemon.WriteError(w, http.StatusBadRequest, errors.New("cluster: addr required"))
 			return
 		}
 		info, err := f.Reg.Add(req.Addr, req.Weight)
 		switch {
 		case errors.Is(err, ErrNodeExists):
-			writeError(w, http.StatusConflict, err)
+			daemon.WriteError(w, http.StatusConflict, err)
 		case err != nil:
-			writeError(w, http.StatusBadRequest, err)
+			daemon.WriteError(w, http.StatusBadRequest, err)
 		default:
-			writeJSON(w, http.StatusCreated, info)
+			daemon.WriteJSON(w, http.StatusCreated, info)
 		}
 	})
 
 	mux.HandleFunc("DELETE /api/v1/nodes/{name}", func(w http.ResponseWriter, r *http.Request) {
 		if err := f.Reg.Remove(r.PathValue("name")); err != nil {
-			writeError(w, http.StatusNotFound, err)
+			daemon.WriteError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"removed": r.PathValue("name")})
+		daemon.WriteJSON(w, http.StatusOK, map[string]string{"removed": r.PathValue("name")})
 	})
 
-	// Distributed-trace surface: the spans this daemon retains, listed
-	// and fetched per trace (mtatctl trace merges them across daemons).
-	mux.HandleFunc("GET /api/v1/traces", tel.ServeTraceList)
-	mux.HandleFunc("GET /api/v1/traces/{id}", tel.ServeTrace)
-
-	// Tenancy surface: usage snapshots for every tenant, and the admin
-	// hot-reload endpoint (live config push without a restart; SIGHUP on
-	// the daemon re-reads the -tenants file through the same path).
-	mux.HandleFunc("GET /api/v1/tenants", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.Tenants().List())
-	})
-	mux.HandleFunc("POST /api/v1/config/tenants", func(w http.ResponseWriter, r *http.Request) {
-		t := tenant.FromContext(r.Context())
-		if t == nil || !t.IsAdmin() {
-			writeError(w, http.StatusForbidden, errors.New("tenant config reload requires an admin tenant"))
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, MaxSweepSpecBytes))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
-			return
-		}
-		cfg, err := tenant.ParseConfig(body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := f.Tenants().Reload(cfg); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, tenant.ReloadResult{
-			Tenants:    f.Tenants().Count(),
-			Generation: f.Tenants().Generation(),
-		})
-	})
-
-	// Probes: /healthz is pure liveness; /readyz additionally demands
-	// journal replay finished and recovered sweeps resumed, so
-	// orchestration and CI gate traffic on it.
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok\n")
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if ok, reason := f.Ready(); !ok {
-			http.Error(w, reason, http.StatusServiceUnavailable)
-			return
-		}
-		io.WriteString(w, "ready\n")
-	})
-
-	th := tel.Handler()
-	mux.Handle("/metrics", th)
 	// Federated scrape: one exposition covering every registered mtatd
 	// plus the fleet itself. Outside the /api/v1 tenant guard, like
 	// /metrics.
 	mux.Handle("GET /metrics/federate", f.Federator())
-	mux.Handle("/trace", th)
-	if cfg.Pprof {
-		mux.Handle("/debug/", th)
-	}
 
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			writeError(w, http.StatusNotFound, errors.New("no such endpoint"))
-			return
-		}
-		fmt.Fprint(w, "mtatfleet control plane\n\n"+
-			"POST   /api/v1/sweeps\n"+
+	return daemon.Handler(mux, f, tel, cfg, "mtatfleet control plane",
+		"POST   /api/v1/sweeps\n"+
 			"GET    /api/v1/sweeps\n"+
 			"GET    /api/v1/sweeps/{id}\n"+
 			"GET    /api/v1/sweeps/{id}/results?format=json|jsonl|csv\n"+
 			"GET    /api/v1/sweeps/{id}/events  (SSE)\n"+
-			"GET    /api/v1/events  (SSE firehose)\n"+
 			"DELETE /api/v1/sweeps/{id}\n"+
 			"GET    /api/v1/status\n"+
 			"GET    /api/v1/nodes\n"+
 			"POST   /api/v1/nodes\n"+
 			"DELETE /api/v1/nodes/{name}\n"+
-			"GET    /api/v1/traces\n"+
-			"GET    /api/v1/traces/{id}\n"+
-			"GET    /api/v1/tenants\n"+
-			"POST   /api/v1/config/tenants  (admin)\n"+
-			"GET    /healthz\n"+
-			"GET    /readyz\n"+
-			"GET    /metrics  (?format=prom for Prometheus text)\n"+
-			"GET    /metrics/federate  (merged fleet-wide Prometheus exposition)\n"+
-			"GET    /trace\n"+
-			"GET    /debug/pprof/  (with -pprof)\n")
-	})
-
-	// Every route passes through the shared instrumentation (per-route
-	// latency histograms, status-class counters, the in-flight gauge, a
-	// server span per request joined to the caller's trace, one
-	// structured request log line) and then tenant authentication: the
-	// telemetry middleware runs outermost so 401s are metered and logged
-	// like any other response.
-	return telemetry.Middleware(tel, slog.Default())(tenant.Middleware(f.Tenants(), mux))
-}
-
-// fleetEventFilter scopes the firehose to the caller's tenant. Nil (no
-// filtering) for admin tenants, anonymous callers, or a fleet with
-// tenancy disabled — matching the visibility rules of the list
-// endpoints.
-func fleetEventFilter(f *Fleet, r *http.Request) func(telemetry.BusEvent) bool {
-	t := tenant.FromContext(r.Context())
-	if t == nil || t.IsAdmin() || f.Tenants().Count() == 0 {
-		return nil
-	}
-	name := t.Name()
-	return func(ev telemetry.BusEvent) bool { return ev.Tenant == name }
-}
-
-// apiError is the JSON error envelope (same shape as mtatd's).
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	msg := "unknown error"
-	if err != nil {
-		msg = strings.TrimSpace(err.Error())
-	}
-	writeJSON(w, code, apiError{Error: msg})
+			"GET    /metrics/federate  (merged fleet-wide Prometheus exposition)\n")
 }

@@ -1,265 +1,102 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
-	"github.com/tieredmem/mtat/internal/backoff"
-	"github.com/tieredmem/mtat/internal/server"
+	"github.com/tieredmem/mtat/internal/daemon"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
-	"github.com/tieredmem/mtat/internal/tenant"
 )
 
 // Client drives the mtatfleet control plane over HTTP — the library
 // behind mtatctl's sweep subcommands, usable directly by tests and
-// tooling.
+// tooling. The embedded daemon.Client carries the transport, auth, and
+// the calls both daemons answer (Ready, Traces, Metrics, Tenants,
+// ReloadTenants).
 type Client struct {
-	// BaseURL is the daemon's root URL (e.g. "http://127.0.0.1:7171").
-	BaseURL string
-	// HTTPClient overrides the transport; nil uses http.DefaultClient.
-	HTTPClient *http.Client
-	// Token, when set, is sent as a bearer token on every request
-	// (mtatctl wires -token / $MTAT_TOKEN here).
-	Token string
+	daemon.Client
 }
 
 // NewClient returns a client for addr, which may be a bare host:port or
 // a full http:// URL.
 func NewClient(addr string) *Client {
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	return &Client{BaseURL: strings.TrimRight(addr, "/")}
+	return &Client{daemon.NewClient("mtatfleet", addr)}
 }
 
 // APIError is a non-2xx response decoded from the fleet's error
 // envelope.
-type APIError struct {
-	StatusCode int
-	Message    string
-}
-
-func (e *APIError) Error() string {
-	return fmt.Sprintf("mtatfleet: %s (HTTP %d)", e.Message, e.StatusCode)
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
-}
-
-// do issues the request and decodes a JSON response into out (skipped
-// when out is nil). Non-2xx responses become *APIError.
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	var rd io.Reader
-	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	c.applyAuth(req)
-	telemetry.Inject(ctx, req.Header)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return decodeError(resp)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// applyAuth attaches the client's bearer token to an outgoing request.
-func (c *Client) applyAuth(req *http.Request) {
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
-}
-
-func decodeError(resp *http.Response) error {
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	var env apiError
-	if json.Unmarshal(data, &env) == nil && env.Error != "" {
-		return &APIError{StatusCode: resp.StatusCode, Message: env.Error}
-	}
-	return &APIError{StatusCode: resp.StatusCode, Message: strings.TrimSpace(string(data))}
-}
+type APIError = daemon.APIError
 
 // SubmitSweep submits a sweep spec and returns the running sweep's
 // status.
 func (c *Client) SubmitSweep(ctx context.Context, spec sim.SweepSpec) (SweepStatus, error) {
 	var st SweepStatus
-	err := c.do(ctx, http.MethodPost, "/api/v1/sweeps", spec, &st)
+	err := c.Do(ctx, http.MethodPost, "/api/v1/sweeps", spec, &st)
 	return st, err
 }
 
 // Sweep fetches one sweep's status.
 func (c *Client) Sweep(ctx context.Context, id string) (SweepStatus, error) {
 	var st SweepStatus
-	err := c.do(ctx, http.MethodGet, "/api/v1/sweeps/"+id, nil, &st)
+	err := c.Do(ctx, http.MethodGet, "/api/v1/sweeps/"+id, nil, &st)
 	return st, err
 }
 
 // Sweeps lists every retained sweep.
 func (c *Client) Sweeps(ctx context.Context) ([]SweepStatus, error) {
 	var out []SweepStatus
-	err := c.do(ctx, http.MethodGet, "/api/v1/sweeps", nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/api/v1/sweeps", nil, &out)
 	return out, err
 }
 
 // CancelSweep stops a running sweep.
 func (c *Client) CancelSweep(ctx context.Context, id string) (SweepStatus, error) {
 	var st SweepStatus
-	err := c.do(ctx, http.MethodDelete, "/api/v1/sweeps/"+id, nil, &st)
+	err := c.Do(ctx, http.MethodDelete, "/api/v1/sweeps/"+id, nil, &st)
 	return st, err
 }
 
 // Results fetches the sweep's settled cell summaries.
 func (c *Client) Results(ctx context.Context, id string) ([]CellSummary, error) {
 	var out []CellSummary
-	err := c.do(ctx, http.MethodGet, "/api/v1/sweeps/"+id+"/results", nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/api/v1/sweeps/"+id+"/results", nil, &out)
 	return out, err
 }
 
 // ResultsTo streams the sweep's results in the given export format
 // (json, jsonl, or csv) into w.
 func (c *Client) ResultsTo(ctx context.Context, id, format string, w io.Writer) error {
-	return c.stream(ctx, "/api/v1/sweeps/"+id+"/results?format="+format, w)
-}
-
-// Traces fetches the spans the fleet daemon retains for one distributed
-// trace. An unknown trace is not an error — the daemon simply holds no
-// spans for it — so the caller can sweep fleet plus nodes and merge.
-func (c *Client) Traces(ctx context.Context, trace string) ([]telemetry.Span, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/api/v1/traces/"+trace, nil)
-	if err != nil {
-		return nil, err
-	}
-	c.applyAuth(req)
-	telemetry.Inject(ctx, req.Header)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	return telemetry.DecodeSpansJSONL(resp.Body)
-}
-
-// Metrics streams the fleet's /metrics endpoint into w in the given
-// format ("json" or "prom"; "" keeps the server default).
-func (c *Client) Metrics(ctx context.Context, format string, w io.Writer) error {
-	path := "/metrics"
-	if format != "" {
-		path += "?format=" + format
-	}
-	return c.stream(ctx, path, w)
-}
-
-// Ready polls GET /readyz once; a non-200 answer (or transport error)
-// comes back as an error carrying the daemon's reason.
-func (c *Client) Ready(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/readyz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
-		return fmt.Errorf("mtatfleet: not ready: %s (HTTP %d)",
-			strings.TrimSpace(string(data)), resp.StatusCode)
-	}
-	return nil
-}
-
-// stream copies a GET response body into w.
-func (c *Client) stream(ctx context.Context, path string, w io.Writer) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return err
-	}
-	c.applyAuth(req)
-	telemetry.Inject(ctx, req.Header)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	_, err = io.Copy(w, resp.Body)
-	return err
+	return c.Stream(ctx, "/api/v1/sweeps/"+id+"/results?format="+format, w)
 }
 
 // Status fetches the fleet's stats (node pool size, sweep counts, and
 // startup-recovery counters).
 func (c *Client) Status(ctx context.Context) (FleetStats, error) {
 	var st FleetStats
-	err := c.do(ctx, http.MethodGet, "/api/v1/status", nil, &st)
+	err := c.Do(ctx, http.MethodGet, "/api/v1/status", nil, &st)
 	return st, err
 }
 
 // Nodes lists the fleet's node pool.
 func (c *Client) Nodes(ctx context.Context) ([]NodeInfo, error) {
 	var out []NodeInfo
-	err := c.do(ctx, http.MethodGet, "/api/v1/nodes", nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/api/v1/nodes", nil, &out)
 	return out, err
 }
 
 // AddNode registers a mtatd node with the fleet.
 func (c *Client) AddNode(ctx context.Context, addr string, weight float64) (NodeInfo, error) {
 	var info NodeInfo
-	err := c.do(ctx, http.MethodPost, "/api/v1/nodes", AddNodeRequest{Addr: addr, Weight: weight}, &info)
+	err := c.Do(ctx, http.MethodPost, "/api/v1/nodes", AddNodeRequest{Addr: addr, Weight: weight}, &info)
 	return info, err
 }
 
 // RemoveNode deregisters a node by name or address.
 func (c *Client) RemoveNode(ctx context.Context, name string) error {
-	return c.do(ctx, http.MethodDelete, "/api/v1/nodes/"+name, nil, nil)
-}
-
-// Tenants lists every tenant's live usage snapshot on the fleet.
-func (c *Client) Tenants(ctx context.Context) ([]tenant.Usage, error) {
-	var out []tenant.Usage
-	err := c.do(ctx, http.MethodGet, "/api/v1/tenants", nil, &out)
-	return out, err
-}
-
-// ReloadTenants pushes a new tenant config to the fleet (admin only).
-func (c *Client) ReloadTenants(ctx context.Context, cfg tenant.Config) (tenant.ReloadResult, error) {
-	var res tenant.ReloadResult
-	err := c.do(ctx, http.MethodPost, "/api/v1/config/tenants", cfg, &res)
-	return res, err
+	return c.Do(ctx, http.MethodDelete, "/api/v1/nodes/"+name, nil, nil)
 }
 
 // StreamEvents opens the fleet's live SSE stream — a sweep's topic when
@@ -271,49 +108,13 @@ func (c *Client) StreamEvents(ctx context.Context, id, lastEventID string) (*tel
 	if id != "" {
 		path = "/api/v1/sweeps/" + id + "/events"
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", telemetry.SSEContentType)
-	if lastEventID != "" {
-		req.Header.Set("Last-Event-ID", lastEventID)
-	}
-	c.applyAuth(req)
-	telemetry.Inject(ctx, req.Header)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		return nil, decodeError(resp)
-	}
-	return telemetry.NewSSEStream(resp.Body), nil
+	return c.OpenSSE(ctx, path, lastEventID)
 }
 
 // WaitSweep polls the sweep until it reaches a terminal state or ctx is
-// done. Like server.Client.Wait, polling starts fast and backs off with
-// jitter up to poll (<= 0 selects server.DefaultPollInterval).
+// done, with the backoff of server.Client.Wait (see daemon.Poll; poll
+// <= 0 selects daemon.DefaultPollInterval as its cap).
 func (c *Client) WaitSweep(ctx context.Context, id string, poll time.Duration) (SweepStatus, error) {
-	if poll <= 0 {
-		poll = server.DefaultPollInterval
-	}
-	base := poll / 8
-	if base < 10*time.Millisecond {
-		base = 10 * time.Millisecond
-	}
-	pol := backoff.Policy{Base: base, Max: poll}
-	for attempt := 0; ; attempt++ {
-		st, err := c.Sweep(ctx, id)
-		if err != nil {
-			return SweepStatus{}, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		if err := pol.Sleep(ctx, attempt); err != nil {
-			return st, err
-		}
-	}
+	return daemon.Poll(ctx, &c.Client, id, poll, 0, c.Sweep,
+		func(st SweepStatus) bool { return st.State.Terminal() })
 }

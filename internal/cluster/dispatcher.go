@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
 	"github.com/tieredmem/mtat/internal/backoff"
+	"github.com/tieredmem/mtat/internal/daemon"
 	"github.com/tieredmem/mtat/internal/server"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
@@ -33,7 +33,7 @@ type DispatcherConfig struct {
 	// selects DefaultMaxNodeAttempts).
 	MaxNodeAttempts int
 	// PollMax caps the remote run-status polling interval (<= 0 selects
-	// server.DefaultPollInterval).
+	// daemon.DefaultPollInterval).
 	PollMax time.Duration
 	// Telemetry is the fleet-level sink for dispatch metrics and retry
 	// events. Nil disables them.
@@ -70,7 +70,7 @@ func NewDispatcher(reg *Registry, cfg DispatcherConfig) *Dispatcher {
 		cfg.MaxNodeAttempts = DefaultMaxNodeAttempts
 	}
 	if cfg.PollMax <= 0 {
-		cfg.PollMax = server.DefaultPollInterval
+		cfg.PollMax = daemon.DefaultPollInterval
 	}
 	if !cfg.Retry.NoJitter {
 		cfg.Retry.FullJitter = true
@@ -224,6 +224,5 @@ func (d *Dispatcher) DoAs(ctx context.Context, spec sim.RunSpec, onBehalfOf stri
 // isSpecRejection reports whether a submit error is a 400 — the spec is
 // invalid everywhere, so retrying on other nodes is pointless.
 func isSpecRejection(err error) bool {
-	var apiErr *server.APIError
-	return errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusBadRequest
+	return daemon.StatusCode(err) == http.StatusBadRequest
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/tieredmem/mtat/internal/daemon"
 	"github.com/tieredmem/mtat/internal/journal"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
@@ -168,16 +169,13 @@ type Fleet struct {
 	bus     *telemetry.EventBus
 	fed     *Federator
 
-	jn   *journal.Journal
+	jn   *daemon.Journal
 	logf func(format string, args ...any)
 
-	mu       sync.Mutex
-	sweeps   map[string]*sweep
-	order    []string
-	finished []string
-	nextID   int
-	closed   bool
-	wg       sync.WaitGroup
+	mu     sync.Mutex
+	sweeps *daemon.Store[*sweep]
+	closed bool
+	wg     sync.WaitGroup
 	// resumable holds recovered unfinished sweeps between NewFleet and
 	// Resume; recoveredSweeps/recoveredCells are their startup counts.
 	resumable       []*sweep
@@ -236,7 +234,8 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		tenants: cfg.Tenants,
 		bus:     cfg.Bus,
 		logf:    cfg.Logf,
-		sweeps:  make(map[string]*sweep),
+		sweeps:  daemon.NewStore[*sweep]("s"),
+		jn:      daemon.NewJournal("cluster", cfg.CompactEvery, cfg.Logf),
 	}
 	if f.bus == nil {
 		f.bus = telemetry.NewEventBus(telemetry.BusConfig{})
@@ -253,22 +252,21 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	f.gSweepsRunning = m.Gauge("fleet_sweeps_running")
 	f.gCellsRunningInternal = m.Gauge("fleet_cells_running")
 	if cfg.DataDir != "" {
-		rs := newFleetReplay()
-		jn, stats, err := journal.Open(cfg.DataDir, journal.Options{
+		rs := daemon.NewStore[*sweepImage]("s")
+		stats, err := f.jn.Open(cfg.DataDir, journal.Options{
 			Fsync:     cfg.Fsync,
 			Telemetry: cfg.Telemetry,
-		}, rs.apply)
+		}, replayInto(rs))
 		if err != nil {
 			reg.Close()
-			return nil, fleetDataDirError(err)
+			return nil, err
 		}
-		f.jn = jn
 		f.resumable = f.restore(rs)
 		if stats.Records > 0 || stats.Torn {
 			f.logf("cluster: journal replay: %d records in %d segments (torn=%v): "+
 				"%d sweeps retained, %d to resume (%d cells)",
 				stats.Records, stats.Segments, stats.Torn,
-				len(f.sweeps), f.recoveredSweeps, f.recoveredCells)
+				f.sweeps.Len(), f.recoveredSweeps, f.recoveredCells)
 		}
 	}
 	return f, nil
@@ -337,10 +335,9 @@ func (f *Fleet) SubmitCtx(ctx context.Context, spec sim.SweepSpec) (SweepStatus,
 		f.mu.Unlock()
 		return SweepStatus{}, err
 	}
-	f.nextID++
 	sweepCtx, cancel := context.WithCancel(context.Background())
 	sw := &sweep{
-		id:        fmt.Sprintf("s%06d", f.nextID),
+		id:        f.sweeps.Allocate(),
 		name:      spec.Name,
 		spec:      spec,
 		state:     SweepRunning,
@@ -362,28 +359,18 @@ func (f *Fleet) SubmitCtx(ctx context.Context, spec sim.SweepSpec) (SweepStatus,
 	// Journal before registering: acceptance is the durability promise,
 	// so an unjournalable sweep is rejected rather than silently
 	// volatile.
-	if f.jn != nil {
-		var jspan *telemetry.ActiveSpan
-		if sc.Valid() {
-			_, jspan = f.tel.Spans().StartSpan(ctx, "journal.append",
-				telemetry.SA("sweep", sw.id), telemetry.SA("rec", recSweepSubmitted))
-		}
-		err := f.jn.Append(recSweepSubmitted, sweepSubmittedRec{
-			ID: sw.id, Name: sw.name, Spec: spec, SubmittedAt: sw.submitted,
-			Trace:  fleetTraceOrEmpty(sw.trace),
-			Tenant: tenantName(sw.tn),
-		})
-		jspan.End(err)
-		if err != nil {
-			f.nextID--
-			cancel()
-			tn.NoteAbandoned(len(cells), cellCost*float64(len(cells)))
-			f.mu.Unlock()
-			return SweepStatus{}, fmt.Errorf("cluster: journal submission: %w", err)
-		}
+	if err := f.jn.AppendTraced(ctx, f.tel, recSweepSubmitted, sweepSubmittedRec{
+		ID: sw.id, Name: sw.name, Spec: spec, SubmittedAt: sw.submitted,
+		Trace:  daemon.TraceOrEmpty(sw.trace),
+		Tenant: daemon.TenantName(sw.tn),
+	}, telemetry.SA("sweep", sw.id)); err != nil {
+		f.sweeps.Unallocate()
+		cancel()
+		tn.NoteAbandoned(len(cells), cellCost*float64(len(cells)))
+		f.mu.Unlock()
+		return SweepStatus{}, fmt.Errorf("cluster: journal submission: %w", err)
 	}
-	f.sweeps[sw.id] = sw
-	f.order = append(f.order, sw.id)
+	f.sweeps.Add(sw.id, sw)
 	f.mSweeps.Inc()
 	f.gSweepsRunning.Set(f.gSweepsRunning.Value() + 1)
 	st := f.statusLocked(sw)
@@ -453,26 +440,15 @@ func (f *Fleet) runSweep(sw *sweep) {
 	sw.finished = time.Now()
 	sw.cancel()
 	close(sw.done)
-	f.journalLocked(recSweepFinished, sweepFinishedRec{
+	f.jn.AppendOrLog(recSweepFinished, sweepFinishedRec{
 		ID: sw.id, State: state, FinishedAt: sw.finished,
 	})
-	f.maybeCompactLocked()
+	f.jn.MaybeCompact(recFleetSnapshot, func() any { return f.snapshotLocked() })
 	f.mSweepsDone.Inc()
 	f.gSweepsRunning.Set(f.gSweepsRunning.Value() - 1)
 	f.publishSweepLocked(sw)
-	f.finished = append(f.finished, sw.id)
-	for len(f.finished) > f.cfg.MaxSweeps {
-		evict := f.finished[0]
-		f.finished = f.finished[1:]
-		delete(f.sweeps, evict)
-		for i, id := range f.order {
-			if id == evict {
-				f.order = append(f.order[:i], f.order[i+1:]...)
-				break
-			}
-		}
-		f.bus.DropTopic(sweepTopic(evict))
-	}
+	f.sweeps.Finish(sw.id)
+	f.sweeps.Evict(f.cfg.MaxSweeps, func(id string) { f.bus.DropTopic(sweepTopic(id)) })
 	f.mu.Unlock()
 	f.tel.Tracer().EmitMsg(f.Reg.now(), "fleet.sweep.end", telemetry.WLNone, sw.id)
 }
@@ -500,7 +476,7 @@ func (f *Fleet) runCell(ctx context.Context, sw *sweep, cr *cellRun) {
 		ctx, span = f.tel.Spans().StartSpan(ctx, "cell.dispatch",
 			telemetry.SA("sweep", sw.id), telemetry.SA("cell", cr.cell.Label))
 	}
-	res, err := f.disp.DoAs(ctx, cr.cell.Spec, tenantName(sw.tn))
+	res, err := f.disp.DoAs(ctx, cr.cell.Spec, daemon.TenantName(sw.tn))
 	span.SetAttr("node", res.Node)
 	span.End(err)
 
@@ -516,16 +492,16 @@ func (f *Fleet) runCell(ctx context.Context, sw *sweep, cr *cellRun) {
 	wall := cr.finished.Sub(cr.started).Seconds()
 	// The cell-wall histogram carries the sweep's trace as its exemplar,
 	// so a slow bucket on /metrics links straight to the trace tree.
-	f.hCellWall.ObserveExemplar(wall, fleetTraceOrEmpty(sw.trace))
+	f.hCellWall.ObserveExemplar(wall, daemon.TraceOrEmpty(sw.trace))
 	sw.tn.NoteDone(1, sw.cellCost)
 	if err != nil {
 		cr.state = CellFailed
 		cr.errMsg = err.Error()
 		f.mCellsFailed.Inc()
 		s := newCellSummary(sw.name, cr.cell, CellFailed, res.Node, cr.errMsg,
-			res.NodeAttempts, wall, fleetTraceOrEmpty(sw.trace), nil)
+			res.NodeAttempts, wall, daemon.TraceOrEmpty(sw.trace), nil)
 		cr.summary = &s
-		f.journalLocked(recCellSettled, cellSettledRec{
+		f.jn.AppendOrLog(recCellSettled, cellSettledRec{
 			SweepID: sw.id, Index: cr.cell.Index, Summary: s,
 		})
 		f.publishCellLocked(sw, s)
@@ -538,9 +514,9 @@ func (f *Fleet) runCell(ctx context.Context, sw *sweep, cr *cellRun) {
 	f.tenants.Cost().ObserveCellSeconds(wall)
 	f.flagSlowCellLocked(sw, cr, wall)
 	s := newCellSummary(sw.name, cr.cell, CellDone, res.Node, "",
-		res.NodeAttempts, wall, fleetTraceOrEmpty(sw.trace), &res.Status)
+		res.NodeAttempts, wall, daemon.TraceOrEmpty(sw.trace), &res.Status)
 	cr.summary = &s
-	f.journalLocked(recCellSettled, cellSettledRec{
+	f.jn.AppendOrLog(recCellSettled, cellSettledRec{
 		SweepID: sw.id, Index: cr.cell.Index, Summary: s,
 	})
 	f.publishCellLocked(sw, s)
@@ -565,7 +541,7 @@ func (f *Fleet) flagSlowCellLocked(sw *sweep, cr *cellRun, wall float64) {
 		slog.Float64("wall_s", wall),
 		slog.Float64("median_s", med),
 		slog.Float64("factor", f.cfg.SlowCellFactor),
-		slog.String("trace", fleetTraceOrEmpty(sw.trace)))
+		slog.String("trace", daemon.TraceOrEmpty(sw.trace)))
 }
 
 // median returns the median of xs, 0 when empty. xs is not mutated.
@@ -586,7 +562,7 @@ func median(xs []float64) float64 {
 func (f *Fleet) Get(id string) (SweepStatus, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	sw, ok := f.sweeps[id]
+	sw, ok := f.sweeps.Get(id)
 	if !ok {
 		return SweepStatus{}, fmt.Errorf("%w: %s", ErrSweepNotFound, id)
 	}
@@ -597,11 +573,10 @@ func (f *Fleet) Get(id string) (SweepStatus, error) {
 func (f *Fleet) List() []SweepStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]SweepStatus, 0, len(f.order))
-	for _, id := range f.order {
-		if sw, ok := f.sweeps[id]; ok {
-			out = append(out, f.statusLocked(sw))
-		}
+	sweeps := f.sweeps.All()
+	out := make([]SweepStatus, 0, len(sweeps))
+	for _, sw := range sweeps {
+		out = append(out, f.statusLocked(sw))
 	}
 	return out
 }
@@ -611,7 +586,7 @@ func (f *Fleet) List() []SweepStatus {
 // both ways) and pending cells never dispatch.
 func (f *Fleet) Cancel(id string) (SweepStatus, error) {
 	f.mu.Lock()
-	sw, ok := f.sweeps[id]
+	sw, ok := f.sweeps.Get(id)
 	if !ok {
 		f.mu.Unlock()
 		return SweepStatus{}, fmt.Errorf("%w: %s", ErrSweepNotFound, id)
@@ -628,7 +603,7 @@ func (f *Fleet) Cancel(id string) (SweepStatus, error) {
 func (f *Fleet) Results(id string) ([]CellSummary, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	sw, ok := f.sweeps[id]
+	sw, ok := f.sweeps.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrSweepNotFound, id)
 	}
@@ -644,7 +619,7 @@ func (f *Fleet) Results(id string) ([]CellSummary, error) {
 // Wait blocks until the sweep reaches a terminal state or ctx is done.
 func (f *Fleet) Wait(ctx context.Context, id string) (SweepStatus, error) {
 	f.mu.Lock()
-	sw, ok := f.sweeps[id]
+	sw, ok := f.sweeps.Get(id)
 	f.mu.Unlock()
 	if !ok {
 		return SweepStatus{}, fmt.Errorf("%w: %s", ErrSweepNotFound, id)
@@ -666,33 +641,18 @@ func (f *Fleet) Shutdown(ctx context.Context) error {
 	f.closed = true
 	f.mu.Unlock()
 
-	drained := make(chan struct{})
-	go func() {
-		f.wg.Wait()
-		close(drained)
-	}()
-	var err error
-	select {
-	case <-drained:
-	case <-ctx.Done():
+	err := daemon.Drain(ctx, &f.wg, func() {
 		f.mu.Lock()
-		for _, sw := range f.sweeps {
+		defer f.mu.Unlock()
+		for _, sw := range f.sweeps.All() {
 			if !sw.state.Terminal() {
 				sw.cancel()
 			}
 		}
-		f.mu.Unlock()
-		<-drained
-		err = ctx.Err()
-	}
+	})
 	f.Reg.Close()
 	f.mu.Lock()
-	if f.jn != nil {
-		if cerr := f.jn.Close(); cerr != nil {
-			f.logf("cluster: journal close failed: %v", cerr)
-		}
-		f.jn = nil
-	}
+	f.jn.Close()
 	f.mu.Unlock()
 	return err
 }
@@ -732,25 +692,6 @@ func (f *Fleet) Ready() (bool, string) {
 // when the fleet was built without a tenant config).
 func (f *Fleet) Tenants() *tenant.Registry { return f.tenants }
 
-// tenantName renders a tenant for journal records and status JSON: ""
-// for nil and for the anonymous tenant, so single-tenant deployments
-// produce byte-identical records to pre-tenancy builds.
-func tenantName(t *tenant.Tenant) string {
-	if t == nil || t.Name() == tenant.AnonymousName {
-		return ""
-	}
-	return t.Name()
-}
-
-// fleetTraceOrEmpty renders a trace ID for a journal record, "" when
-// unset.
-func fleetTraceOrEmpty(id telemetry.TraceID) string {
-	if id.IsZero() {
-		return ""
-	}
-	return id.String()
-}
-
 // Stats reports the fleet's registry size and startup-recovery counts.
 func (f *Fleet) Stats() FleetStats {
 	nodes := len(f.Reg.Nodes())
@@ -758,13 +699,13 @@ func (f *Fleet) Stats() FleetStats {
 	defer f.mu.Unlock()
 	st := FleetStats{
 		Nodes:           nodes,
-		Sweeps:          len(f.sweeps),
+		Sweeps:          f.sweeps.Len(),
 		MaxSweeps:       f.cfg.MaxSweeps,
 		RecoveredSweeps: f.recoveredSweeps,
 		RecoveredCells:  f.recoveredCells,
 		Draining:        f.closed,
 	}
-	for _, sw := range f.sweeps {
+	for _, sw := range f.sweeps.All() {
 		if !sw.state.Terminal() {
 			st.RunningSweeps++
 		}
@@ -814,8 +755,8 @@ func (f *Fleet) statusLocked(sw *sweep) SweepStatus {
 		State:       sw.state,
 		Cells:       len(sw.cells),
 		SubmittedAt: sw.submitted,
-		Trace:       fleetTraceOrEmpty(sw.trace),
-		Tenant:      tenantName(sw.tn),
+		Trace:       daemon.TraceOrEmpty(sw.trace),
+		Tenant:      daemon.TenantName(sw.tn),
 	}
 	if !sw.finished.IsZero() {
 		t := sw.finished

@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"context"
-	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
+	"github.com/tieredmem/mtat/internal/daemon"
 	"github.com/tieredmem/mtat/internal/journal"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
@@ -92,92 +90,65 @@ type sweepImage struct {
 	settled   map[int]CellSummary
 }
 
-// fleetReplay accumulates journal records into the registry image the
-// fleet boots from.
-type fleetReplay struct {
-	sweeps   map[string]*sweepImage
-	order    []string
-	finished []string
-	nextID   int
-}
-
-func newFleetReplay() *fleetReplay {
-	return &fleetReplay{sweeps: make(map[string]*sweepImage)}
-}
-
-// apply folds one journal record into the state. Unknown record types
-// are skipped (forward compatibility); malformed payloads abort the
-// replay.
-func (rs *fleetReplay) apply(rec journal.Record) error {
-	switch rec.Type {
-	case recFleetSnapshot:
-		var snap fleetSnapshot
-		if err := rec.Decode(&snap); err != nil {
-			return err
-		}
-		rs.sweeps = make(map[string]*sweepImage, len(snap.Sweeps))
-		rs.order = rs.order[:0]
-		for _, ss := range snap.Sweeps {
-			img := &sweepImage{
-				id: ss.ID, name: ss.Name, spec: ss.Spec, state: ss.State,
-				submitted: ss.SubmittedAt, trace: ss.Trace, tenant: ss.Tenant,
-				settled: make(map[int]CellSummary, len(ss.Cells)),
+// replayInto returns the journal replay callback that folds records
+// into rs, the registry image the fleet boots from. Unknown record
+// types are skipped (forward compatibility); malformed payloads abort
+// the replay.
+func replayInto(rs *daemon.Store[*sweepImage]) func(journal.Record) error {
+	return func(rec journal.Record) error {
+		switch rec.Type {
+		case recFleetSnapshot:
+			var snap fleetSnapshot
+			if err := rec.Decode(&snap); err != nil {
+				return err
 			}
-			if ss.FinishedAt != nil {
-				img.finished = *ss.FinishedAt
+			rs.Reset(snap.NextID, snap.Finished)
+			for _, ss := range snap.Sweeps {
+				img := &sweepImage{
+					id: ss.ID, name: ss.Name, spec: ss.Spec, state: ss.State,
+					submitted: ss.SubmittedAt, trace: ss.Trace, tenant: ss.Tenant,
+					settled: make(map[int]CellSummary, len(ss.Cells)),
+				}
+				if ss.FinishedAt != nil {
+					img.finished = *ss.FinishedAt
+				}
+				for _, cs := range ss.Cells {
+					img.settled[cs.Index] = cs
+				}
+				rs.Add(ss.ID, img)
 			}
-			for _, cs := range ss.Cells {
-				img.settled[cs.Index] = cs
+		case recSweepSubmitted:
+			var r sweepSubmittedRec
+			if err := rec.Decode(&r); err != nil {
+				return err
 			}
-			rs.sweeps[ss.ID] = img
-			rs.order = append(rs.order, ss.ID)
-			rs.noteID(ss.ID)
+			if _, ok := rs.Get(r.ID); ok {
+				return nil // duplicate submission record; first wins
+			}
+			rs.Add(r.ID, &sweepImage{
+				id: r.ID, name: r.Name, spec: r.Spec, state: SweepRunning,
+				submitted: r.SubmittedAt, trace: r.Trace, tenant: r.Tenant,
+				settled: make(map[int]CellSummary),
+			})
+		case recCellSettled:
+			var r cellSettledRec
+			if err := rec.Decode(&r); err != nil {
+				return err
+			}
+			if img, ok := rs.Get(r.SweepID); ok {
+				img.settled[r.Index] = r.Summary
+			}
+		case recSweepFinished:
+			var r sweepFinishedRec
+			if err := rec.Decode(&r); err != nil {
+				return err
+			}
+			if img, ok := rs.Get(r.ID); ok && !img.state.Terminal() {
+				img.state, img.finished = r.State, r.FinishedAt
+				rs.Finish(r.ID)
+			}
 		}
-		rs.finished = append(rs.finished[:0], snap.Finished...)
-		if snap.NextID > rs.nextID {
-			rs.nextID = snap.NextID
-		}
-	case recSweepSubmitted:
-		var r sweepSubmittedRec
-		if err := rec.Decode(&r); err != nil {
-			return err
-		}
-		if _, ok := rs.sweeps[r.ID]; ok {
-			return nil // duplicate submission record; first wins
-		}
-		rs.sweeps[r.ID] = &sweepImage{
-			id: r.ID, name: r.Name, spec: r.Spec, state: SweepRunning,
-			submitted: r.SubmittedAt, trace: r.Trace, tenant: r.Tenant,
-			settled: make(map[int]CellSummary),
-		}
-		rs.order = append(rs.order, r.ID)
-		rs.noteID(r.ID)
-	case recCellSettled:
-		var r cellSettledRec
-		if err := rec.Decode(&r); err != nil {
-			return err
-		}
-		if img, ok := rs.sweeps[r.SweepID]; ok {
-			img.settled[r.Index] = r.Summary
-		}
-	case recSweepFinished:
-		var r sweepFinishedRec
-		if err := rec.Decode(&r); err != nil {
-			return err
-		}
-		if img, ok := rs.sweeps[r.ID]; ok && !img.state.Terminal() {
-			img.state, img.finished = r.State, r.FinishedAt
-			rs.finished = append(rs.finished, r.ID)
-		}
-	}
-	return nil
-}
-
-// noteID keeps nextID above every replayed sweep ID.
-func (rs *fleetReplay) noteID(id string) {
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "s"))
-	if err == nil && n > rs.nextID {
-		rs.nextID = n
+		return nil
 	}
 }
 
@@ -186,15 +157,14 @@ func (rs *fleetReplay) noteID(id string) {
 // finished by the previous incarnation. Their settled cells keep their
 // journaled summaries; only the rest re-dispatch. Callers pass the
 // returned sweeps to Resume() after registering nodes.
-func (f *Fleet) restore(rs *fleetReplay) []*sweep {
+func (f *Fleet) restore(rs *daemon.Store[*sweepImage]) []*sweep {
 	var resumable []*sweep
-	for _, id := range rs.order {
-		img := rs.sweeps[id]
+	for _, img := range rs.All() {
 		cells, err := img.spec.Cells()
 		if err != nil {
 			// The spec was valid when journaled; refusing to start is
 			// safer than guessing at a grid that no longer compiles.
-			f.logf("cluster: journal replay: sweep %s spec no longer compiles: %v (dropped)", id, err)
+			f.logf("cluster: journal replay: sweep %s spec no longer compiles: %v (dropped)", img.id, err)
 			continue
 		}
 		sw := &sweep{
@@ -247,28 +217,12 @@ func (f *Fleet) restore(rs *fleetReplay) []*sweep {
 			sw.tn.Restore(unsettled, sw.cellCost*float64(unsettled), true)
 			resumable = append(resumable, sw)
 		}
-		f.sweeps[sw.id] = sw
-		f.order = append(f.order, sw.id)
+		f.sweeps.Add(sw.id, sw)
 	}
 	// Rebuild the finish-order list from IDs that still resolve, then
 	// re-apply the retention cap (it may have shrunk across the restart).
-	for _, id := range rs.finished {
-		if sw, ok := f.sweeps[id]; ok && sw.state.Terminal() {
-			f.finished = append(f.finished, id)
-		}
-	}
-	f.nextID = rs.nextID
-	for len(f.finished) > f.cfg.MaxSweeps {
-		evict := f.finished[0]
-		f.finished = f.finished[1:]
-		delete(f.sweeps, evict)
-		for i, oid := range f.order {
-			if oid == evict {
-				f.order = append(f.order[:i], f.order[i+1:]...)
-				break
-			}
-		}
-	}
+	f.sweeps.Inherit(rs.FinishOrder(), rs.NextID(), func(sw *sweep) bool { return sw.state.Terminal() })
+	f.sweeps.Evict(f.cfg.MaxSweeps, nil)
 	f.recoveredSweeps = len(resumable)
 	return resumable
 }
@@ -276,19 +230,12 @@ func (f *Fleet) restore(rs *fleetReplay) []*sweep {
 // snapshotLocked captures the sweep registry for a compaction record.
 // Callers hold f.mu.
 func (f *Fleet) snapshotLocked() fleetSnapshot {
-	snap := fleetSnapshot{
-		NextID:   f.nextID,
-		Finished: append([]string(nil), f.finished...),
-	}
-	for _, id := range f.order {
-		sw, ok := f.sweeps[id]
-		if !ok {
-			continue
-		}
+	snap := fleetSnapshot{NextID: f.sweeps.NextID(), Finished: f.sweeps.FinishOrder()}
+	for _, sw := range f.sweeps.All() {
 		ss := sweepSnapshot{
 			ID: sw.id, Name: sw.name, Spec: sw.spec, State: sw.state,
-			SubmittedAt: sw.submitted, Trace: fleetTraceOrEmpty(sw.trace),
-			Tenant: tenantName(sw.tn),
+			SubmittedAt: sw.submitted, Trace: daemon.TraceOrEmpty(sw.trace),
+			Tenant: daemon.TenantName(sw.tn),
 		}
 		if !sw.finished.IsZero() {
 			t := sw.finished
@@ -302,31 +249,4 @@ func (f *Fleet) snapshotLocked() fleetSnapshot {
 		snap.Sweeps = append(snap.Sweeps, ss)
 	}
 	return snap
-}
-
-// maybeCompactLocked snapshots the registry once enough delta records
-// have accumulated since the last compaction. Callers hold f.mu.
-func (f *Fleet) maybeCompactLocked() {
-	if f.jn == nil || f.jn.Records() < int64(f.cfg.CompactEvery) {
-		return
-	}
-	if err := f.jn.Compact(recFleetSnapshot, f.snapshotLocked()); err != nil {
-		f.logf("cluster: journal compaction failed: %v", err)
-	}
-}
-
-// journalLocked appends a delta record, downgrading failures to a log
-// line — an unjournaled settle costs at-least-once re-dispatch after a
-// crash, not correctness. Callers hold f.mu.
-func (f *Fleet) journalLocked(typ string, v any) {
-	if f.jn == nil {
-		return
-	}
-	if err := f.jn.Append(typ, v); err != nil {
-		f.logf("cluster: journal append %s failed: %v", typ, err)
-	}
-}
-
-func fleetDataDirError(err error) error {
-	return fmt.Errorf("cluster: open data dir: %w", err)
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/tieredmem/mtat/internal/cluster"
+	"github.com/tieredmem/mtat/internal/daemon"
 	"github.com/tieredmem/mtat/internal/journal"
 	"github.com/tieredmem/mtat/internal/server"
 	"github.com/tieredmem/mtat/internal/sim"
@@ -37,7 +38,7 @@ type NodeBackend struct {
 	// Poll caps the status-poll interval (0 selects the client default).
 	Poll time.Duration
 	// MaxOutage bounds consecutive unreachability before giving up
-	// (0 selects server.DefaultMaxOutage).
+	// (0 selects daemon.DefaultMaxOutage).
 	MaxOutage time.Duration
 }
 
@@ -46,7 +47,7 @@ type NodeBackend struct {
 func (b *NodeBackend) Submit(ctx context.Context, spec sim.RunSpec) (server.RunStatus, error) {
 	maxOutage := b.MaxOutage
 	if maxOutage <= 0 {
-		maxOutage = server.DefaultMaxOutage
+		maxOutage = daemon.DefaultMaxOutage
 	}
 	start := time.Now()
 	for attempt := 0; ; attempt++ {
@@ -57,10 +58,8 @@ func (b *NodeBackend) Submit(ctx context.Context, spec sim.RunSpec) (server.RunS
 		if ctx.Err() != nil {
 			return server.RunStatus{}, ctx.Err()
 		}
-		var apiErr *server.APIError
-		if errors.As(err, &apiErr) &&
-			apiErr.StatusCode != http.StatusTooManyRequests &&
-			apiErr.StatusCode != http.StatusServiceUnavailable {
+		if code := daemon.StatusCode(err); code != 0 &&
+			code != http.StatusTooManyRequests && code != http.StatusServiceUnavailable {
 			return server.RunStatus{}, err
 		}
 		if time.Since(start) > maxOutage {
@@ -501,11 +500,7 @@ func loadKind(l *sim.LoadSpec) string {
 // isRunGone reports a definitive "this run no longer exists" answer,
 // from either transport (HTTP 404) or an in-process manager.
 func isRunGone(err error) bool {
-	var apiErr *server.APIError
-	if errors.As(err, &apiErr) {
-		return apiErr.StatusCode == http.StatusNotFound
-	}
-	return errors.Is(err, server.ErrNotFound)
+	return daemon.StatusCode(err) == http.StatusNotFound || errors.Is(err, server.ErrNotFound)
 }
 
 // jsonEqual compares two JSON documents structurally (whitespace- and

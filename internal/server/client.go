@@ -1,158 +1,62 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
-	"github.com/tieredmem/mtat/internal/backoff"
+	"github.com/tieredmem/mtat/internal/daemon"
 	"github.com/tieredmem/mtat/internal/flight"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
-	"github.com/tieredmem/mtat/internal/tenant"
 )
 
 // Client drives the mtatd control plane over HTTP — the library behind
-// cmd/mtatctl, usable directly by tests and tooling.
+// cmd/mtatctl, usable directly by tests and tooling. The embedded
+// daemon.Client carries the transport, auth, and the calls both daemons
+// answer (Ready, Traces, Metrics, Tenants, ReloadTenants).
 type Client struct {
-	// BaseURL is the daemon's root URL (e.g. "http://127.0.0.1:7070").
-	BaseURL string
-	// HTTPClient overrides the transport; nil uses http.DefaultClient.
-	HTTPClient *http.Client
-	// Token, when set, is sent as a bearer token on every request
-	// (mtatctl wires -token / $MTAT_TOKEN here; the fleet dispatcher
-	// its -node-token).
-	Token string
-	// OnBehalfOf attributes requests to the named tenant via the
-	// X-Mtat-Tenant header. The authenticated tenant must be an admin
-	// (the fleet dispatcher uses this to carry each cell's originating
-	// tenant to the node).
-	OnBehalfOf string
+	daemon.Client
 }
 
 // NewClient returns a client for addr, which may be a bare host:port or a
 // full http:// URL.
 func NewClient(addr string) *Client {
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	return &Client{BaseURL: strings.TrimRight(addr, "/")}
+	return &Client{daemon.NewClient("mtatd", addr)}
 }
 
 // APIError is a non-2xx response decoded from the server's error
 // envelope.
-type APIError struct {
-	StatusCode int
-	Message    string
-	// RetryAfter carries the response's Retry-After header (0 when
-	// absent) — quota and backpressure 429s tell the client when to
-	// come back.
-	RetryAfter time.Duration
-}
-
-func (e *APIError) Error() string {
-	return fmt.Sprintf("mtatd: %s (HTTP %d)", e.Message, e.StatusCode)
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
-}
-
-// do issues the request and decodes a JSON response into out (skipped
-// when out is nil). Non-2xx responses become *APIError.
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	var rd io.Reader
-	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	c.applyAuth(req)
-	telemetry.Inject(ctx, req.Header)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return decodeError(resp)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// applyAuth attaches the client's bearer token and on-behalf-of
-// attribution to an outgoing request.
-func (c *Client) applyAuth(req *http.Request) {
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
-	if c.OnBehalfOf != "" {
-		req.Header.Set("X-Mtat-Tenant", c.OnBehalfOf)
-	}
-}
-
-func decodeError(resp *http.Response) error {
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	apiErr := &APIError{StatusCode: resp.StatusCode, Message: strings.TrimSpace(string(data))}
-	var env apiError
-	if json.Unmarshal(data, &env) == nil && env.Error != "" {
-		apiErr.Message = env.Error
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
-			apiErr.RetryAfter = time.Duration(secs) * time.Second
-		}
-	}
-	return apiErr
-}
+type APIError = daemon.APIError
 
 // Submit enqueues a run spec and returns the queued run's status.
 func (c *Client) Submit(ctx context.Context, spec sim.RunSpec) (RunStatus, error) {
 	var st RunStatus
-	err := c.do(ctx, http.MethodPost, "/api/v1/runs", spec, &st)
+	err := c.Do(ctx, http.MethodPost, "/api/v1/runs", spec, &st)
 	return st, err
 }
 
 // Run fetches one run's status.
 func (c *Client) Run(ctx context.Context, id string) (RunStatus, error) {
 	var st RunStatus
-	err := c.do(ctx, http.MethodGet, "/api/v1/runs/"+id, nil, &st)
+	err := c.Do(ctx, http.MethodGet, "/api/v1/runs/"+id, nil, &st)
 	return st, err
 }
 
 // Runs lists every retained run.
 func (c *Client) Runs(ctx context.Context) ([]RunStatus, error) {
 	var out []RunStatus
-	err := c.do(ctx, http.MethodGet, "/api/v1/runs", nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/api/v1/runs", nil, &out)
 	return out, err
 }
 
 // Cancel stops a queued or running run.
 func (c *Client) Cancel(ctx context.Context, id string) (RunStatus, error) {
 	var st RunStatus
-	err := c.do(ctx, http.MethodDelete, "/api/v1/runs/"+id, nil, &st)
+	err := c.Do(ctx, http.MethodDelete, "/api/v1/runs/"+id, nil, &st)
 	return st, err
 }
 
@@ -160,41 +64,25 @@ func (c *Client) Cancel(ctx context.Context, id string) (RunStatus, error) {
 // result-store occupancy) — what a fleet scheduler weighs for placement.
 func (c *Client) Status(ctx context.Context) (Stats, error) {
 	var st Stats
-	err := c.do(ctx, http.MethodGet, "/api/v1/status", nil, &st)
+	err := c.Do(ctx, http.MethodGet, "/api/v1/status", nil, &st)
 	return st, err
 }
 
 // Meta fetches the service vocabulary.
 func (c *Client) Meta(ctx context.Context) (Meta, error) {
 	var meta Meta
-	err := c.do(ctx, http.MethodGet, "/api/v1/meta", nil, &meta)
+	err := c.Do(ctx, http.MethodGet, "/api/v1/meta", nil, &meta)
 	return meta, err
-}
-
-// Tenants lists every tenant's live usage snapshot (admission counters,
-// queue/active occupancy, rejection totals).
-func (c *Client) Tenants(ctx context.Context) ([]tenant.Usage, error) {
-	var out []tenant.Usage
-	err := c.do(ctx, http.MethodGet, "/api/v1/tenants", nil, &out)
-	return out, err
-}
-
-// ReloadTenants pushes a new tenant config to the daemon (admin only) —
-// the client-side twin of SIGHUP on a daemon launched with -tenants.
-func (c *Client) ReloadTenants(ctx context.Context, cfg tenant.Config) (tenant.ReloadResult, error) {
-	var res tenant.ReloadResult
-	err := c.do(ctx, http.MethodPost, "/api/v1/config/tenants", cfg, &res)
-	return res, err
 }
 
 // Events streams the run's trace (JSONL) into w.
 func (c *Client) Events(ctx context.Context, id string, w io.Writer) error {
-	return c.stream(ctx, "/api/v1/runs/"+id+"/events", w)
+	return c.Stream(ctx, "/api/v1/runs/"+id+"/events", w)
 }
 
 // Flight streams the run's flight-recorder dump (JSON) into w.
 func (c *Client) Flight(ctx context.Context, id string, w io.Writer) error {
-	return c.stream(ctx, "/api/v1/runs/"+id+"/flight", w)
+	return c.Stream(ctx, "/api/v1/runs/"+id+"/flight", w)
 }
 
 // FlightAfter fetches the run's flight events newer than the `after`
@@ -206,7 +94,7 @@ func (c *Client) FlightAfter(ctx context.Context, id string, after uint64, haveC
 		path += "?after=" + strconv.FormatUint(after, 10)
 	}
 	var d flight.Dump
-	err := c.do(ctx, http.MethodGet, path, nil, &d)
+	err := c.Do(ctx, http.MethodGet, path, nil, &d)
 	return d, err
 }
 
@@ -220,25 +108,7 @@ func (c *Client) StreamEvents(ctx context.Context, id, lastEventID string) (*tel
 	if id != "" {
 		path = "/api/v1/runs/" + id + "/events"
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", telemetry.SSEContentType)
-	if lastEventID != "" {
-		req.Header.Set("Last-Event-ID", lastEventID)
-	}
-	c.applyAuth(req)
-	telemetry.Inject(ctx, req.Header)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		return nil, decodeError(resp)
-	}
-	return telemetry.NewSSEStream(resp.Body), nil
+	return c.OpenSSE(ctx, path, lastEventID)
 }
 
 // DefaultProfileSeconds is the CPU profile duration Profile uses when
@@ -263,224 +133,26 @@ func (c *Client) Profile(ctx context.Context, kind string, seconds int, w io.Wri
 	default:
 		return fmt.Errorf("mtatd: unknown profile kind %q (valid: cpu, heap, allocs)", kind)
 	}
-	return c.stream(ctx, path, w)
+	return c.Stream(ctx, path, w)
 }
-
-// Traces fetches the spans this daemon retains for one distributed
-// trace. An unknown trace is not an error — the daemon simply holds no
-// spans for it — so the caller can sweep a whole fleet and merge.
-func (c *Client) Traces(ctx context.Context, trace string) ([]telemetry.Span, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/api/v1/traces/"+trace, nil)
-	if err != nil {
-		return nil, err
-	}
-	c.applyAuth(req)
-	telemetry.Inject(ctx, req.Header)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	return telemetry.DecodeSpansJSONL(resp.Body)
-}
-
-// Metrics streams the daemon's /metrics endpoint into w in the given
-// format ("json" or "prom"; "" keeps the server default).
-func (c *Client) Metrics(ctx context.Context, format string, w io.Writer) error {
-	path := "/metrics"
-	if format != "" {
-		path += "?format=" + format
-	}
-	return c.stream(ctx, path, w)
-}
-
-// Ready polls GET /readyz once; a non-200 answer (or transport error)
-// comes back as an error carrying the daemon's reason.
-func (c *Client) Ready(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/readyz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
-		return fmt.Errorf("mtatd: not ready: %s (HTTP %d)",
-			strings.TrimSpace(string(data)), resp.StatusCode)
-	}
-	return nil
-}
-
-// stream copies a GET response body into w.
-func (c *Client) stream(ctx context.Context, path string, w io.Writer) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return err
-	}
-	c.applyAuth(req)
-	telemetry.Inject(ctx, req.Header)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	_, err = io.Copy(w, resp.Body)
-	return err
-}
-
-// DefaultPollInterval caps Wait's status-polling interval.
-const DefaultPollInterval = 500 * time.Millisecond
 
 // Wait polls the run until it reaches a terminal state or ctx is done,
-// returning the final status. Polling starts fast and backs off
-// exponentially with jitter up to poll, so short runs return promptly
-// while long waits stay cheap and de-synchronized across concurrent
-// waiters (the fleet dispatcher runs many). poll <= 0 selects
-// DefaultPollInterval as the cap.
+// returning the final status (see daemon.Poll for the backoff; poll <= 0
+// selects daemon.DefaultPollInterval as its cap).
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (RunStatus, error) {
-	if poll <= 0 {
-		poll = DefaultPollInterval
-	}
-	base := poll / 8
-	if base < 10*time.Millisecond {
-		base = 10 * time.Millisecond
-	}
-	if base > poll {
-		base = poll
-	}
-	pol := backoff.Policy{Base: base, Max: poll}
-	for attempt := 0; ; attempt++ {
-		st, err := c.Run(ctx, id)
-		if err != nil {
-			return RunStatus{}, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		if err := pol.Sleep(ctx, attempt); err != nil {
-			return st, err
-		}
-	}
+	return daemon.Poll(ctx, &c.Client, id, poll, 0, c.Run, RunStatus.terminal)
 }
-
-// DefaultMaxOutage is WaitDurable's tolerance for consecutive transport
-// failures when the caller passes maxOutage <= 0 — generous enough to
-// ride out a daemon SIGKILL, journal replay, and restart.
-const DefaultMaxOutage = 2 * time.Minute
 
 // WaitDurable is Wait for callers that must survive a daemon restart:
-// transport errors (connection refused while mtatd is down, resets while
-// it bounces) are retried with the same backoff for up to maxOutage of
-// consecutive failure before giving up, instead of failing the wait on
-// the first one. A 429 is backpressure from a live daemon, not an
-// outage: it never charges the outage window, and a Retry-After header
-// (quota and rate-limit rejections carry one) stretches the sleep to
-// the server's hint. API errors other than 429/503 still fail
-// immediately — a 404 after replay means the run is truly gone, and
-// retrying cannot fix a 400. The experiment harness leans on this:
-// mtatd journals accepted runs before acknowledging them, so a run that
-// was submitted is pollable again as soon as the restarted daemon
-// finishes replay.
+// transport errors and 503s are retried for up to maxOutage (<= 0
+// selects daemon.DefaultMaxOutage) of consecutive failure, and 429s
+// back off to their Retry-After without charging that budget. The
+// experiment harness leans on this: mtatd journals accepted runs before
+// acknowledging them, so a run that was submitted is pollable again as
+// soon as the restarted daemon finishes replay.
 func (c *Client) WaitDurable(ctx context.Context, id string, poll, maxOutage time.Duration) (RunStatus, error) {
-	if poll <= 0 {
-		poll = DefaultPollInterval
-	}
 	if maxOutage <= 0 {
-		maxOutage = DefaultMaxOutage
+		maxOutage = daemon.DefaultMaxOutage
 	}
-	base := poll / 8
-	if base < 10*time.Millisecond {
-		base = 10 * time.Millisecond
-	}
-	if base > poll {
-		base = poll
-	}
-	pol := backoff.Policy{Base: base, Max: poll}
-	var outageStart time.Time
-	for attempt := 0; ; attempt++ {
-		st, err := c.Run(ctx, id)
-		var retryAfter time.Duration
-		switch {
-		case err == nil:
-			outageStart = time.Time{}
-			if st.State.Terminal() {
-				return st, nil
-			}
-		case ctx.Err() != nil:
-			return RunStatus{}, ctx.Err()
-		case isBackpressure(err):
-			// The daemon answered — it is up, just shedding load. Reset
-			// the outage clock (backpressure must not burn the restart
-			// budget) and honor its Retry-After if present.
-			outageStart = time.Time{}
-			retryAfter = retryAfterOf(err)
-		case !retryableWaitError(err):
-			return RunStatus{}, err
-		default:
-			if outageStart.IsZero() {
-				outageStart = time.Now()
-			} else if time.Since(outageStart) > maxOutage {
-				return RunStatus{}, fmt.Errorf("mtatd: unreachable for %s waiting on %s: %w",
-					maxOutage, id, err)
-			}
-		}
-		if retryAfter > pol.Delay(attempt) {
-			if err := sleepCtx(ctx, retryAfter); err != nil {
-				return st, err
-			}
-			continue
-		}
-		if err := pol.Sleep(ctx, attempt); err != nil {
-			return st, err
-		}
-	}
-}
-
-// isBackpressure reports a 429 answer — the daemon is alive and asking
-// the client to slow down.
-func isBackpressure(err error) bool {
-	var apiErr *APIError
-	return errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusTooManyRequests
-}
-
-// retryAfterOf extracts a 429/503 response's Retry-After, 0 when absent.
-func retryAfterOf(err error) time.Duration {
-	var apiErr *APIError
-	if errors.As(err, &apiErr) {
-		return apiErr.RetryAfter
-	}
-	return 0
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// retryableWaitError reports whether a status-poll failure is worth
-// retrying: transport errors (the daemon is down or restarting) and
-// backpressure answers are; other API errors are definitive.
-func retryableWaitError(err error) bool {
-	var apiErr *APIError
-	if errors.As(err, &apiErr) {
-		return apiErr.StatusCode == http.StatusTooManyRequests ||
-			apiErr.StatusCode == http.StatusServiceUnavailable
-	}
-	return true
+	return daemon.Poll(ctx, &c.Client, id, poll, maxOutage, c.Run, RunStatus.terminal)
 }

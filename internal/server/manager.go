@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/tieredmem/mtat/internal/daemon"
 	"github.com/tieredmem/mtat/internal/flight"
 	"github.com/tieredmem/mtat/internal/journal"
 	"github.com/tieredmem/mtat/internal/loadgen"
@@ -156,31 +157,18 @@ type run struct {
 	cost float64
 }
 
-// tenantName renders a run's owner for statuses and journal records,
-// "" for the anonymous tenant (keeping records byte-compatible with
-// pre-tenant journals in the common single-tenant case).
-func tenantName(t *tenant.Tenant) string {
-	if t == nil || t.Name() == tenant.AnonymousName {
-		return ""
-	}
-	return t.Name()
-}
-
 // Manager owns the submission queue, the worker pool, and the run
 // registry. All methods are safe for concurrent use.
 type Manager struct {
 	cfg     Config
-	jn      *journal.Journal // nil without a DataDir
+	jn      *daemon.Journal
 	logf    func(format string, args ...any)
 	tenants *tenant.Registry
 	bus     *telemetry.EventBus
 
 	mu        sync.Mutex
-	runs      map[string]*run
-	order     []string // submission order, for List
-	finished  []string // finish order, for result-store eviction
+	runs      *daemon.Store[*run]
 	closed    bool
-	nextID    int
 	recovered int // runs re-enqueued by journal replay at startup
 
 	// queue replaces the historical FIFO channel with the weighted
@@ -222,7 +210,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:     cfg,
 		logf:    cfg.Logf,
-		runs:    make(map[string]*run),
+		runs:    daemon.NewStore[*run]("r"),
 		tenants: cfg.Tenants,
 		queue:   tenant.NewFairQueue[*run](),
 		bus:     cfg.Bus,
@@ -233,6 +221,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	if m.logf == nil {
 		m.logf = log.Printf
 	}
+	m.jn = daemon.NewJournal("server", cfg.CompactEvery, m.logf)
 	if m.tenants == nil {
 		m.tenants = tenant.Permissive(cfg.Telemetry)
 	}
@@ -249,18 +238,17 @@ func NewManager(cfg Config) (*Manager, error) {
 
 	var pending []*run
 	if cfg.DataDir != "" {
-		rs := newReplayState()
-		jn, stats, err := journal.Open(cfg.DataDir,
-			journal.Options{Fsync: cfg.Fsync, Telemetry: cfg.Telemetry}, rs.apply)
+		rs := daemon.NewStore[*RunStatus]("r")
+		stats, err := m.jn.Open(cfg.DataDir,
+			journal.Options{Fsync: cfg.Fsync, Telemetry: cfg.Telemetry}, replayInto(rs))
 		if err != nil {
-			return nil, dataDirError(err)
+			return nil, err
 		}
-		m.jn = jn
 		pending = m.restore(rs)
 		m.recovered = len(pending)
 		if stats.Records > 0 || stats.Torn {
 			m.logf("server: journal replay: %d records, %d runs retained, %d re-enqueued, torn=%v",
-				stats.Records, len(m.runs), len(pending), stats.Torn)
+				stats.Records, m.runs.Len(), len(pending), stats.Torn)
 		}
 	}
 	// The fair queue is unbounded, so the recovered backlog re-enqueues
@@ -272,7 +260,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		m.queue.Push(r.tn, r)
 	}
 	m.gQueued.Set(float64(m.queue.Len()))
-	m.gRetained.Set(float64(len(m.finished)))
+	m.gRetained.Set(float64(m.runs.Retained()))
 	m.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go m.worker()
@@ -316,14 +304,6 @@ func (m *Manager) Ready() (bool, string) {
 	return true, "ok"
 }
 
-// traceOrEmpty renders a trace ID for a journal record, "" when unset.
-func traceOrEmpty(id telemetry.TraceID) string {
-	if id.IsZero() {
-		return ""
-	}
-	return id.String()
-}
-
 // Stats snapshots the manager's load signal — the numbers a fleet
 // scheduler weighs when placing work on this node. Served at
 // GET /api/v1/status and mirrored by the server_queue_depth,
@@ -336,13 +316,13 @@ func (m *Manager) Stats() Stats {
 		QueueDepth:      m.queue.Len(),
 		QueueCap:        m.cfg.QueueCap,
 		Tenants:         m.tenants.Count(),
-		RetainedResults: len(m.finished),
+		RetainedResults: m.runs.Retained(),
 		MaxRuns:         m.cfg.MaxRuns,
-		TotalRuns:       len(m.runs),
+		TotalRuns:       m.runs.Len(),
 		RecoveredRuns:   m.recovered,
 		Draining:        m.closed,
 	}
-	for _, r := range m.runs {
+	for _, r := range m.runs.All() {
 		switch r.state {
 		case StateQueued:
 			s.QueuedRuns++
@@ -397,10 +377,9 @@ func (m *Manager) SubmitCtx(ctx context.Context, spec sim.RunSpec) (RunStatus, e
 		m.mRejected.Inc()
 		return RunStatus{}, err
 	}
-	m.nextID++
 	runCtx, cancel := newRunContext()
 	r := &run{
-		id:        fmt.Sprintf("r%06d", m.nextID),
+		id:        m.runs.Allocate(),
 		spec:      spec,
 		state:     StateQueued,
 		submitted: time.Now(),
@@ -417,30 +396,19 @@ func (m *Manager) SubmitCtx(ctx context.Context, spec sim.RunSpec) (RunStatus, e
 	// Journal before exposing the run: once Submit returns the ID, the
 	// acceptance must survive a crash. A failed append rejects the
 	// submission instead of silently degrading durability.
-	if m.jn != nil {
-		var jspan *telemetry.ActiveSpan
-		if sc.Valid() {
-			_, jspan = m.cfg.Telemetry.Spans().StartSpan(ctx, "journal.append",
-				telemetry.SA("run", r.id), telemetry.SA("rec", recRunSubmitted))
-		}
-		rec := runSubmittedRec{
-			ID: r.id, Spec: r.spec, SubmittedAt: r.submitted,
-			Trace: traceOrEmpty(r.trace), Tenant: tenantName(tn),
-		}
-		if err := m.jn.Append(recRunSubmitted, rec); err != nil {
-			jspan.End(err)
-			m.nextID--
-			cancel()
-			tn.NoteAbandoned(1, cost) // refund the admission charge
-			m.mRejected.Inc()
-			return RunStatus{}, fmt.Errorf("server: journal submission: %w", err)
-		}
-		jspan.End(nil)
+	if err := m.jn.AppendTraced(ctx, m.cfg.Telemetry, recRunSubmitted, runSubmittedRec{
+		ID: r.id, Spec: r.spec, SubmittedAt: r.submitted,
+		Trace: daemon.TraceOrEmpty(r.trace), Tenant: daemon.TenantName(tn),
+	}, telemetry.SA("run", r.id)); err != nil {
+		m.runs.Unallocate()
+		cancel()
+		tn.NoteAbandoned(1, cost) // refund the admission charge
+		m.mRejected.Inc()
+		return RunStatus{}, fmt.Errorf("server: journal submission: %w", err)
 	}
-	r.flight.SetSink(m.flightSink(r.id, tenantName(tn)))
+	r.flight.SetSink(m.flightSink(r.id, daemon.TenantName(tn)))
 	m.queue.Push(tn, r)
-	m.runs[r.id] = r
-	m.order = append(m.order, r.id)
+	m.runs.Add(r.id, r)
 	m.mSubmitted.Inc()
 	m.gQueued.Set(float64(m.queue.Len()))
 	m.publishRunLocked(r)
@@ -473,7 +441,7 @@ func specTicks(spec sim.RunSpec) float64 {
 func (m *Manager) Get(id string) (RunStatus, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.runs[id]
+	r, ok := m.runs.Get(id)
 	if !ok {
 		return RunStatus{}, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
@@ -484,11 +452,10 @@ func (m *Manager) Get(id string) (RunStatus, error) {
 func (m *Manager) List() []RunStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]RunStatus, 0, len(m.order))
-	for _, id := range m.order {
-		if r, ok := m.runs[id]; ok {
-			out = append(out, r.status())
-		}
+	runs := m.runs.All()
+	out := make([]RunStatus, 0, len(runs))
+	for _, r := range runs {
+		out = append(out, r.status())
 	}
 	return out
 }
@@ -498,7 +465,7 @@ func (m *Manager) List() []RunStatus {
 func (m *Manager) Result(id string) (*sim.Result, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.runs[id]
+	r, ok := m.runs.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
@@ -510,7 +477,7 @@ func (m *Manager) Result(id string) (*sim.Result, error) {
 func (m *Manager) Events(id string) (*telemetry.Tracer, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.runs[id]
+	r, ok := m.runs.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
@@ -524,7 +491,7 @@ func (m *Manager) Events(id string) (*telemetry.Tracer, error) {
 func (m *Manager) Flight(id string) (*flight.Recorder, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.runs[id]
+	r, ok := m.runs.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
@@ -539,7 +506,7 @@ func (m *Manager) Flight(id string) (*flight.Recorder, error) {
 func (m *Manager) Cancel(id string) (RunStatus, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.runs[id]
+	r, ok := m.runs.Get(id)
 	if !ok {
 		return RunStatus{}, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
@@ -557,7 +524,7 @@ func (m *Manager) Cancel(id string) (RunStatus, error) {
 // then returns the final status.
 func (m *Manager) WaitRun(ctx context.Context, id string) (RunStatus, error) {
 	m.mu.Lock()
-	r, ok := m.runs[id]
+	r, ok := m.runs.Get(id)
 	m.mu.Unlock()
 	if !ok {
 		return RunStatus{}, fmt.Errorf("%w: %s", ErrNotFound, id)
@@ -583,30 +550,18 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	}
 	m.mu.Unlock()
 
-	drained := make(chan struct{})
-	go func() {
-		m.wg.Wait()
-		close(drained)
-	}()
-	var err error
-	select {
-	case <-drained:
-	case <-ctx.Done():
+	err := daemon.Drain(ctx, &m.wg, func() {
 		m.mu.Lock()
-		for _, r := range m.runs {
+		defer m.mu.Unlock()
+		for _, r := range m.runs.All() {
 			if !r.state.Terminal() {
 				r.cancel()
 			}
 		}
-		m.mu.Unlock()
-		<-drained
-		err = ctx.Err()
-	}
-	if m.jn != nil {
-		if cerr := m.jn.Close(); cerr != nil {
-			m.logf("server: journal close: %v", cerr)
-		}
-	}
+	})
+	m.mu.Lock()
+	m.jn.Close()
+	m.mu.Unlock()
 	return err
 }
 
@@ -634,7 +589,7 @@ func (m *Manager) runOne(r *run) {
 	r.started = time.Now()
 	r.tn.NoteStarted(1)
 	r.tn.ObserveQueueWait(r.started.Sub(r.submitted).Seconds())
-	m.journalLocked(recRunStarted, runStartedRec{ID: r.id, StartedAt: r.started})
+	m.jn.AppendOrLog(recRunStarted, runStartedRec{ID: r.id, StartedAt: r.started})
 	m.gQueued.Set(float64(m.queue.Len()))
 	m.gRunning.Set(m.gRunning.Value() + 1)
 	m.publishRunLocked(r)
@@ -710,16 +665,16 @@ func (m *Manager) finishLocked(r *run, st State, msg string, res *sim.Result) {
 	case StateCancelled:
 		m.mCancelled.Inc()
 	}
-	m.finished = append(m.finished, r.id)
-	m.journalLocked(recRunFinished, runFinishedRec{
+	m.runs.Finish(r.id)
+	m.jn.AppendOrLog(recRunFinished, runFinishedRec{
 		ID: r.id, State: st, Error: msg, FinishedAt: r.finished,
-		Result: summarizeOrNil(res), Tenant: tenantName(r.tn),
+		Result: summarizeOrNil(res), Tenant: daemon.TenantName(r.tn),
 	})
 	m.syncFlightDropsLocked(r)
 	m.publishRunLocked(r)
 	m.SyncBusMetrics()
 	m.evictLocked()
-	m.maybeCompactLocked()
+	m.jn.MaybeCompact(recSnapshot, func() any { return m.snapshotLocked() })
 }
 
 // evictLocked drops the oldest finished runs beyond the result-store
@@ -727,22 +682,13 @@ func (m *Manager) finishLocked(r *run, st State, msg string, res *sim.Result) {
 // counter and a log line record what vanished, so recovery tests can
 // reconcile retained+evicted against submissions. Callers hold m.mu.
 func (m *Manager) evictLocked() {
-	for len(m.finished) > m.cfg.MaxRuns {
-		evict := m.finished[0]
-		m.finished = m.finished[1:]
-		delete(m.runs, evict)
-		for i, id := range m.order {
-			if id == evict {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				break
-			}
-		}
-		m.bus.DropTopic(runTopic(evict))
+	m.runs.Evict(m.cfg.MaxRuns, func(id string) {
+		m.bus.DropTopic(runTopic(id))
 		m.mEvicted.Inc()
 		m.logf("server: result store full (max %d): evicted oldest finished run %s",
-			m.cfg.MaxRuns, evict)
-	}
-	m.gRetained.Set(float64(len(m.finished)))
+			m.cfg.MaxRuns, id)
+	})
+	m.gRetained.Set(float64(m.runs.Retained()))
 }
 
 // summarizeOrNil is summarize tolerating the nil result of a failed or

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
+	"github.com/tieredmem/mtat/internal/daemon"
 	"github.com/tieredmem/mtat/internal/flight"
 	"github.com/tieredmem/mtat/internal/journal"
 	"github.com/tieredmem/mtat/internal/sim"
@@ -64,91 +62,58 @@ type managerSnapshot struct {
 	Finished []string    `json:"finished"`
 }
 
-// replayState accumulates journal records into the registry image the
-// manager boots from.
-type replayState struct {
-	runs     map[string]*RunStatus
-	order    []string
-	finished []string
-	nextID   int
-}
-
-func newReplayState() *replayState {
-	return &replayState{runs: make(map[string]*RunStatus)}
-}
-
-// apply folds one journal record into the state. Unknown record types
-// are skipped (forward compatibility: an old daemon replaying a newer
-// log must not crash); malformed payloads abort the replay.
-func (rs *replayState) apply(rec journal.Record) error {
-	switch rec.Type {
-	case recSnapshot:
-		var snap managerSnapshot
-		if err := rec.Decode(&snap); err != nil {
-			return err
-		}
-		rs.runs = make(map[string]*RunStatus, len(snap.Runs))
-		rs.order = rs.order[:0]
-		for i := range snap.Runs {
-			st := snap.Runs[i]
-			rs.runs[st.ID] = &st
-			rs.order = append(rs.order, st.ID)
-			rs.noteID(st.ID)
-		}
-		rs.finished = append(rs.finished[:0], snap.Finished...)
-		if snap.NextID > rs.nextID {
-			rs.nextID = snap.NextID
-		}
-	case recRunSubmitted:
-		var r runSubmittedRec
-		if err := rec.Decode(&r); err != nil {
-			return err
-		}
-		if _, ok := rs.runs[r.ID]; ok {
-			return nil // duplicate submission record; first wins
-		}
-		rs.runs[r.ID] = &RunStatus{
-			ID: r.ID, State: StateQueued, Spec: r.Spec, SubmittedAt: r.SubmittedAt,
-			Trace: r.Trace, Tenant: r.Tenant,
-		}
-		rs.order = append(rs.order, r.ID)
-		rs.noteID(r.ID)
-	case recRunStarted:
-		var r runStartedRec
-		if err := rec.Decode(&r); err != nil {
-			return err
-		}
-		if st, ok := rs.runs[r.ID]; ok && !st.State.Terminal() {
-			t := r.StartedAt
-			st.State, st.StartedAt = StateRunning, &t
-		}
-	case recRunFinished:
-		var r runFinishedRec
-		if err := rec.Decode(&r); err != nil {
-			return err
-		}
-		st, ok := rs.runs[r.ID]
-		if !ok {
-			return nil // finished record without a submission; drop
-		}
-		t := r.FinishedAt
-		st.State, st.Error, st.FinishedAt, st.Result = r.State, r.Error, &t, r.Result
-		for _, id := range rs.finished {
-			if id == r.ID {
-				return nil
+// replayInto returns the journal replay callback that folds records
+// into rs, the registry image the manager boots from. Unknown record
+// types are skipped (forward compatibility: an old daemon replaying a
+// newer log must not crash); malformed payloads abort the replay.
+func replayInto(rs *daemon.Store[*RunStatus]) func(journal.Record) error {
+	return func(rec journal.Record) error {
+		switch rec.Type {
+		case recSnapshot:
+			var snap managerSnapshot
+			if err := rec.Decode(&snap); err != nil {
+				return err
 			}
+			rs.Reset(snap.NextID, snap.Finished)
+			for i := range snap.Runs {
+				st := snap.Runs[i]
+				rs.Add(st.ID, &st)
+			}
+		case recRunSubmitted:
+			var r runSubmittedRec
+			if err := rec.Decode(&r); err != nil {
+				return err
+			}
+			if _, ok := rs.Get(r.ID); ok {
+				return nil // duplicate submission record; first wins
+			}
+			rs.Add(r.ID, &RunStatus{
+				ID: r.ID, State: StateQueued, Spec: r.Spec, SubmittedAt: r.SubmittedAt,
+				Trace: r.Trace, Tenant: r.Tenant,
+			})
+		case recRunStarted:
+			var r runStartedRec
+			if err := rec.Decode(&r); err != nil {
+				return err
+			}
+			if st, ok := rs.Get(r.ID); ok && !st.State.Terminal() {
+				t := r.StartedAt
+				st.State, st.StartedAt = StateRunning, &t
+			}
+		case recRunFinished:
+			var r runFinishedRec
+			if err := rec.Decode(&r); err != nil {
+				return err
+			}
+			st, ok := rs.Get(r.ID)
+			if !ok {
+				return nil // finished record without a submission; drop
+			}
+			t := r.FinishedAt
+			st.State, st.Error, st.FinishedAt, st.Result = r.State, r.Error, &t, r.Result
+			rs.Finish(r.ID)
 		}
-		rs.finished = append(rs.finished, r.ID)
-	}
-	return nil
-}
-
-// noteID keeps nextID above every replayed run ID so recovered and new
-// runs never collide.
-func (rs *replayState) noteID(id string) {
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "r"))
-	if err == nil && n > rs.nextID {
-		rs.nextID = n
+		return nil
 	}
 }
 
@@ -157,10 +122,9 @@ func (rs *replayState) noteID(id string) {
 // re-enqueued: everything the previous incarnation accepted but did not
 // finish. Queued and running runs alike restart from scratch — the
 // at-least-once contract after a crash.
-func (m *Manager) restore(rs *replayState) []*run {
+func (m *Manager) restore(rs *daemon.Store[*RunStatus]) []*run {
 	var pending []*run
-	for _, id := range rs.order {
-		st := rs.runs[id]
+	for _, st := range rs.All() {
 		r := &run{
 			id:        st.ID,
 			spec:      st.Spec,
@@ -197,22 +161,16 @@ func (m *Manager) restore(rs *replayState) []*run {
 			r.state = StateQueued
 			r.tel = newRunTelemetry(m.cfg)
 			r.flight = flight.New(m.cfg.FlightCapacity)
-			r.flight.SetSink(m.flightSink(r.id, tenantName(r.tn)))
+			r.flight.SetSink(m.flightSink(r.id, daemon.TenantName(r.tn)))
 			r.ctx, r.cancel = newRunContext()
 			r.done = make(chan struct{})
 			pending = append(pending, r)
 		}
-		m.runs[r.id] = r
-		m.order = append(m.order, r.id)
+		m.runs.Add(r.id, r)
 	}
 	// Rebuild the finish-order list from IDs that still resolve, then
 	// re-apply the retention cap (it may have shrunk across the restart).
-	for _, id := range rs.finished {
-		if r, ok := m.runs[id]; ok && r.state.Terminal() {
-			m.finished = append(m.finished, id)
-		}
-	}
-	m.nextID = rs.nextID
+	m.runs.Inherit(rs.FinishOrder(), rs.NextID(), func(r *run) bool { return r.state.Terminal() })
 	m.evictLocked()
 	return pending
 }
@@ -220,41 +178,9 @@ func (m *Manager) restore(rs *replayState) []*run {
 // snapshotLocked captures the registry for a compaction record. Callers
 // hold m.mu.
 func (m *Manager) snapshotLocked() managerSnapshot {
-	snap := managerSnapshot{
-		NextID:   m.nextID,
-		Finished: append([]string(nil), m.finished...),
-	}
-	for _, id := range m.order {
-		if r, ok := m.runs[id]; ok {
-			snap.Runs = append(snap.Runs, r.status())
-		}
+	snap := managerSnapshot{NextID: m.runs.NextID(), Finished: m.runs.FinishOrder()}
+	for _, r := range m.runs.All() {
+		snap.Runs = append(snap.Runs, r.status())
 	}
 	return snap
-}
-
-// maybeCompactLocked snapshots the registry once enough delta records
-// have accumulated since the last compaction. Callers hold m.mu.
-func (m *Manager) maybeCompactLocked() {
-	if m.jn == nil || m.jn.Records() < int64(m.cfg.CompactEvery) {
-		return
-	}
-	if err := m.jn.Compact(recSnapshot, m.snapshotLocked()); err != nil {
-		m.logf("server: journal compaction failed: %v", err)
-	}
-}
-
-// journalLocked appends a delta record, downgrading failures to a log
-// line — an unjournaled transition costs at-least-once re-execution
-// after a crash, not correctness. Callers hold m.mu.
-func (m *Manager) journalLocked(typ string, v any) {
-	if m.jn == nil {
-		return
-	}
-	if err := m.jn.Append(typ, v); err != nil {
-		m.logf("server: journal append %s failed: %v", typ, err)
-	}
-}
-
-func dataDirError(err error) error {
-	return fmt.Errorf("server: open data dir: %w", err)
 }

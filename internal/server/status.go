@@ -3,6 +3,7 @@ package server
 import (
 	"time"
 
+	"github.com/tieredmem/mtat/internal/daemon"
 	"github.com/tieredmem/mtat/internal/sim"
 )
 
@@ -25,6 +26,9 @@ type RunStatus struct {
 	// old clients) means the anonymous tenant.
 	Tenant string `json:"tenant,omitempty"`
 }
+
+// terminal reports whether the run reached a final state.
+func (s RunStatus) terminal() bool { return s.State.Terminal() }
 
 // RunResult is the JSON summary of a finished run — the aggregate slice
 // of sim.Result (the full time series stay in memory, reachable through
@@ -83,8 +87,8 @@ func (r *run) status() RunStatus {
 		Spec:        r.spec,
 		SubmittedAt: r.submitted,
 		Error:       r.errMsg,
-		Trace:       traceOrEmpty(r.trace),
-		Tenant:      tenantName(r.tn),
+		Trace:       daemon.TraceOrEmpty(r.trace),
+		Tenant:      daemon.TenantName(r.tn),
 	}
 	if !r.started.IsZero() {
 		t := r.started

@@ -25,6 +25,15 @@ func (c *Counter) Add(n int64) {
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
+// RaiseTo adds whatever brings the counter up to want, mirroring a
+// monotonic count kept elsewhere (ring drops, bus publishes); it never
+// lowers the counter.
+func (c *Counter) RaiseTo(want int64) {
+	if d := want - c.Value(); d > 0 {
+		c.Add(d)
+	}
+}
+
 // Value returns the current count (0 on a nil receiver).
 func (c *Counter) Value() int64 {
 	if c == nil {
