@@ -1,15 +1,16 @@
 // Package corebench micro-benchmarks the simulator-core hot paths — page
-// migration (mem), histogram rebuild and partition split (hist), PEBS
-// sampling (pebs), the queue-model tick (queue), and the flight-recorder
-// ring — at a fixed geometry, independent of the experiment Scale, so
-// numbers stay comparable across -quick and full runs. The resulting
-// report is the repo's perf baseline (BENCH_core.json): CI re-runs the
-// suite on every PR and fails on gross (>2×) ns/op or allocs/op
-// regressions via Compare.
+// migration (mem), histogram rebuild and partition split (hist), Zipf
+// draws and PEBS sampling (dist, pebs), the queue-model tick (queue), and
+// the flight-recorder ring — at a fixed geometry, independent of the
+// experiment Scale, so numbers stay comparable across -quick and full
+// runs. The resulting report is the repo's perf baseline
+// (BENCH_core.json): CI re-runs the suite on every PR and fails on gross
+// (>2×) ns/op or allocs/op regressions via Compare.
 package corebench
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -80,6 +81,7 @@ func Benches() []Bench {
 		{"mem/age_ref", benchMemAgeRef},
 		{"hist/build", benchHistBuild},
 		{"hist/hotsplit", benchHistHotSplit},
+		{"dist/zipf_sample", benchZipfSample},
 		{"pebs/record", benchPEBSRecord},
 		{"pebs/record_ref", benchPEBSRecordRef},
 		{"queue/tick", benchQueueTick},
@@ -213,6 +215,22 @@ func benchHistHotSplit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		unified.HotSplit(512)
+	}
+}
+
+// benchZipfSample draws one item from a θ = 0.99 Zipf over 9000 items,
+// the page count of a paper-scale workload at 4 MiB pages. Every PEBS
+// sample of a Zipfian workload pays this once.
+func benchZipfSample(b *testing.B) {
+	d, err := dist.NewZipf(9000, 0.99)
+	if err != nil {
+		panic(fmt.Sprintf("corebench: %v", err))
+	}
+	rng := rand.New(rand.NewSource(benchSeed))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Sample(rng)
 	}
 }
 

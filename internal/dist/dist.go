@@ -74,6 +74,9 @@ type Zipf struct {
 	theta float64
 	// cdf[i] = probability mass of items [0, i]; len == n.
 	cdf []float64
+	// guide[j] = min{i : cdf[i] >= j/n}; len == n. This Chen–Asau index
+	// table lets Sample start its scan next to the answer.
+	guide []int32
 }
 
 var _ Distribution = (*Zipf)(nil)
@@ -83,6 +86,9 @@ var _ Distribution = (*Zipf)(nil)
 func NewZipf(n int, theta float64) (*Zipf, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dist: zipf n must be > 0, got %d", n)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("dist: zipf n must be <= %d, got %d", math.MaxInt32, n)
 	}
 	if theta < 0 || math.IsNaN(theta) {
 		return nil, fmt.Errorf("dist: zipf theta must be >= 0, got %g", theta)
@@ -97,7 +103,23 @@ func NewZipf(n int, theta float64) (*Zipf, error) {
 		z.cdf[i] /= sum
 	}
 	z.cdf[n-1] = 1 // guard against rounding
+	z.guide = guideTable(z.cdf)
 	return z, nil
+}
+
+// guideTable returns guide[j] = min{i : cdf[i] >= j/n} for a
+// non-decreasing cdf of length n that ends at 1.
+func guideTable(cdf []float64) []int32 {
+	n := len(cdf)
+	guide := make([]int32, n)
+	i := 0
+	for j := range guide {
+		for cdf[i] < float64(j)/float64(n) {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	return guide
 }
 
 // N implements Distribution.
@@ -106,19 +128,27 @@ func (z *Zipf) N() int { return z.n }
 // Theta returns the skew exponent.
 func (z *Zipf) Theta() float64 { return z.theta }
 
-// Sample implements Distribution via binary search on the CDF.
-func (z *Zipf) Sample(rng *rand.Rand) int {
-	u := rng.Float64()
-	lo, hi := 0, z.n-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// Sample implements Distribution by guide-table (Chen–Asau) inversion of
+// one rng.Float64() draw u. It returns min{i : cdf[i] >= u}, the index a
+// binary search over the CDF finds, in O(1) expected steps. The scan
+// runs both ways from guide[int(u*n)], so the result does not depend on
+// how u*n rounds.
+func (z *Zipf) Sample(rng *rand.Rand) int { return z.invert(rng.Float64()) }
+
+// invert maps u in [0, 1) to min{i : cdf[i] >= u}.
+func (z *Zipf) invert(u float64) int {
+	j := int(u * float64(z.n))
+	if j >= z.n {
+		j = z.n - 1
 	}
-	return lo
+	i := int(z.guide[j])
+	for i > 0 && z.cdf[i-1] >= u {
+		i--
+	}
+	for z.cdf[i] < u {
+		i++
+	}
+	return i
 }
 
 // CDF implements Distribution.

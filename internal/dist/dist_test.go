@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -105,6 +106,116 @@ func TestZipfSampleMatchesCDF(t *testing.T) {
 	got := float64(hits) / n
 	if math.Abs(got-want) > 0.01 {
 		t.Errorf("empirical CDF(10) = %g, analytic %g", got, want)
+	}
+}
+
+// binarySearchIndex is the oracle for Zipf sampling: the lower bound of u
+// in cdf, found by binary search.
+func binarySearchIndex(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// checkInvertMatchesBinarySearch checks that guide-table inversion
+// returns the binary-search index for every u that can sit on a
+// boundary: 0, the largest Float64, each cdf value and bucket edge j/n,
+// their neighbouring floats, and a stream of random draws.
+func checkInvertMatchesBinarySearch(t *testing.T, label string, z *Zipf) {
+	t.Helper()
+	bad := 0
+	check := func(u float64) {
+		if u < 0 || u >= 1 || bad > 5 {
+			return
+		}
+		if got, want := z.invert(u), binarySearchIndex(z.cdf, u); got != want {
+			bad++
+			t.Errorf("%s u=%v: guide table gives %d, binary search %d", label, u, got, want)
+		}
+	}
+	checkAround := func(x float64) {
+		check(math.Nextafter(x, math.Inf(-1)))
+		check(x)
+		check(math.Nextafter(x, math.Inf(1)))
+	}
+	check(0)
+	check(math.Nextafter(1, 0))
+	for _, c := range z.cdf {
+		checkAround(c)
+	}
+	for j := 0; j <= z.n; j++ {
+		checkAround(float64(j) / float64(z.n))
+	}
+	rng := rand.New(rand.NewSource(int64(z.n)))
+	for k := 0; k < 20_000; k++ {
+		check(rng.Float64())
+	}
+}
+
+// TestZipfGuideTableMatchesBinarySearch compares guide-table inversion
+// with the binary-search oracle over a grid of sizes and skews. theta = 8
+// makes the CDF plateau at 1 in long runs of ties.
+func TestZipfGuideTableMatchesBinarySearch(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 560, 9000, 1 << 20} {
+		for _, theta := range []float64{0, 0.2, 0.55, 0.99, 1.05, 1.3, 8} {
+			z, err := NewZipf(n, theta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkInvertMatchesBinarySearch(t, fmt.Sprintf("n=%d theta=%g", n, theta), z)
+		}
+	}
+}
+
+// TestZipfGuideTableRoundingBoundary covers the int(u*n) rounding
+// boundary. For u = Nextafter(j/n, 0) the product u*n can round up to j,
+// so the scan starts at guide[j] although the answer lies below it. The
+// uniform CDFs here put a cdf value on each such u, which only the
+// downward scan finds.
+func TestZipfGuideTableRoundingBoundary(t *testing.T) {
+	for _, n := range []int{6, 10, 13, 560, 9000} {
+		cdf := make([]float64, n)
+		windows := 0
+		for i := range cdf {
+			cdf[i] = float64(i+1) / float64(n)
+			if u := math.Nextafter(cdf[i], 0); i < n-1 && int(u*float64(n)) > i {
+				cdf[i] = u
+				windows++
+			}
+		}
+		if windows == 0 {
+			t.Fatalf("n=%d: no rounding window to test", n)
+		}
+		z := &Zipf{n: n, cdf: cdf, guide: guideTable(cdf)}
+		checkInvertMatchesBinarySearch(t, fmt.Sprintf("uniform n=%d with %d rounding windows", n, windows), z)
+	}
+}
+
+// TestZipfSampleRNGStream checks that Sample consumes exactly one
+// Float64 per draw, so the rng stream of every caller is unchanged.
+func TestZipfSampleRNGStream(t *testing.T) {
+	z, err := NewZipf(9000, 0.99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	twin := rand.New(rand.NewSource(7))
+	const k = 10_000
+	for i := 0; i < k; i++ {
+		u := twin.Float64()
+		if got, want := z.Sample(rng), binarySearchIndex(z.cdf, u); got != want {
+			t.Fatalf("draw %d: Sample = %d, binary search of the twin's u = %d", i, got, want)
+		}
+	}
+	if a, b := rng.Int63(), twin.Int63(); a != b {
+		t.Fatalf("rng diverged from its twin after %d draws: %d vs %d", k, a, b)
 	}
 }
 

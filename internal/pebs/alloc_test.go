@@ -141,3 +141,59 @@ func BenchmarkRecordTick(b *testing.B) {
 		s.RecordAccesses(w, d, 200_000)
 	}
 }
+
+// TestSampledThisTick checks, on both dedup paths, that SampledThisTick
+// is exactly membership in the union of this tick's TickPages sets: it
+// holds for every page sampled since BeginTick, for any workload, and
+// for no other page, including across BeginTick and (on the stamped
+// path) across the generation wrap.
+func TestSampledThisTick(t *testing.T) {
+	for _, ref := range []bool{false, true} {
+		s, w, d := newAllocBenchSampler(t)
+		s.SetReferenceDedup(ref)
+		w2, err := s.sys.AddWorkload(1<<30, mem.TierSMem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d2, err := dist.NewUniform(1 << 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(stage string, wantAny bool) {
+			t.Helper()
+			want := map[mem.PageID]bool{}
+			for _, id := range []mem.WorkloadID{w, w2} {
+				for _, pid := range s.TickPages(id) {
+					want[pid] = true
+				}
+			}
+			if wantAny != (len(want) > 0) {
+				t.Fatalf("ref=%v %s: %d pages sampled, want any: %v", ref, stage, len(want), wantAny)
+			}
+			for pid := mem.PageID(0); int(pid) < s.sys.NumPages(); pid++ {
+				if got := s.SampledThisTick(pid); got != want[pid] {
+					t.Fatalf("ref=%v %s: SampledThisTick(%d) = %v, want %v", ref, stage, pid, got, want[pid])
+				}
+			}
+		}
+		check("before the first tick", false)
+		record := func() {
+			s.RecordAccesses(w, d, 20_000)
+			s.RecordAccesses(w2, d2, 20_000)
+		}
+		for tick := 0; tick < 3; tick++ {
+			s.BeginTick()
+			check("after BeginTick", false)
+			record()
+			check("after recording", true)
+		}
+		if !ref {
+			s.gen = ^uint32(0) // stamp this tick with the last generation
+			record()
+		}
+		s.BeginTick()
+		check("after the generation wrap", false)
+		record()
+		check("recording after the generation wrap", true)
+	}
+}

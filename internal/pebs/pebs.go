@@ -173,6 +173,17 @@ func (s *Sampler) TickPages(w mem.WorkloadID) []mem.PageID {
 	return s.tickPages[w]
 }
 
+// SampledThisTick reports whether page pid has been sampled, for any
+// workload, since the last BeginTick: it is membership in the union of
+// the TickPages sets, read from the dedup state in O(1).
+func (s *Sampler) SampledThisTick(pid mem.PageID) bool {
+	if s.refDedup {
+		_, ok := s.tickPageSet[pid]
+		return ok
+	}
+	return int(pid) < len(s.seen) && s.seen[pid] == s.gen
+}
+
 // TickFMemAccesses returns the sampled FMem access count for w this tick.
 func (s *Sampler) TickFMemAccesses(w mem.WorkloadID) uint64 {
 	if int(w) >= len(s.fmemTick) {

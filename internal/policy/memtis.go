@@ -1,5 +1,7 @@
 package policy
 
+import "github.com/tieredmem/mtat/internal/mem"
+
 // MEMTIS reimplements the MEMTIS baseline [Lee et al., SOSP'23] as the
 // paper describes it (§5): a single access histogram spans every workload,
 // and the globally hottest pages are kept in FMem regardless of which
@@ -11,6 +13,7 @@ type MEMTIS struct {
 	AgingInterval float64
 	lastAge       float64
 	pool          pool
+	ids           []mem.WorkloadID
 }
 
 var _ Policy = (*MEMTIS)(nil)
@@ -30,7 +33,8 @@ func (m *MEMTIS) Init(ctx *Context) error {
 // Tick implements Policy: one global hotness-ranked pool over all
 // workloads, sized to the whole of FMem.
 func (m *MEMTIS) Tick(ctx *Context) error {
-	ids := workloadIDs(ctx)
+	m.ids = workloadIDs(m.ids, ctx)
+	ids := m.ids
 	if len(ids) == 0 {
 		return nil
 	}

@@ -61,9 +61,10 @@ type Policy interface {
 	LCStall() float64
 }
 
-// workloadIDs returns the IDs of every workload in the context, LC first.
-func workloadIDs(ctx *Context) []mem.WorkloadID {
-	ids := make([]mem.WorkloadID, 0, len(ctx.BEs)+1)
+// workloadIDs returns the IDs of every workload in the context, LC first,
+// reusing dst's backing array so per-tick callers allocate nothing.
+func workloadIDs(dst []mem.WorkloadID, ctx *Context) []mem.WorkloadID {
+	ids := dst[:0]
 	if ctx.LC != nil {
 		ids = append(ids, ctx.LC.ID())
 	}

@@ -73,9 +73,15 @@ func newRigRate(t *testing.T, lcTier mem.Tier, rate float64) *testRig {
 // sampled, then the policy acts.
 func (r *testRig) tick(t *testing.T, p Policy) {
 	t.Helper()
+	r.tickLoad(t, p, 0.5)
+}
+
+// advance is tickLoad up to, but not including, the policy's action.
+func (r *testRig) advance(t *testing.T, p Policy, loadFrac float64) {
+	t.Helper()
 	r.sys.BeginTick(100 * time.Millisecond)
 	r.sampler.BeginTick()
-	lcRes, err := r.lc.Tick(0.5, 0.1, p.LCStall())
+	lcRes, err := r.lc.Tick(loadFrac, 0.1, p.LCStall())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +96,6 @@ func (r *testRig) tick(t *testing.T, p Policy) {
 	}
 	r.ctx.LCResult = lcRes
 	r.ctx.Now = r.now
-	if err := p.Tick(r.ctx); err != nil {
-		t.Fatal(err)
-	}
-	r.now += 0.1
 }
 
 func TestFMemAllPinsLC(t *testing.T) {
@@ -262,6 +264,36 @@ func TestTPPThrashesUnderContention(t *testing.T) {
 	}
 }
 
+// TestTPPTickZeroAllocs checks that a steady-state TPP tick, promotion
+// scan, demotion histogram and exchange included, allocates nothing: the
+// active list is read from the sampler's dedup state, not rebuilt.
+func TestTPPTickZeroAllocs(t *testing.T) {
+	rig := newRigRate(t, mem.TierSMem, 2e-5)
+	p := NewTPP()
+	if err := p.Init(rig.ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		rig.tick(t, p)
+	}
+	before := rig.sys.MigratedPages()
+	for i := 0; i < 20; i++ {
+		rig.advance(t, p, 0.5)
+		allocs := testing.AllocsPerRun(1, func() {
+			if err := p.Tick(rig.ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("tick %d: TPP.Tick allocs = %g, want 0", i, allocs)
+		}
+		rig.now += 0.1
+	}
+	if rig.sys.MigratedPages() == before {
+		t.Fatal("no pages migrated while measuring; the test misses the exchange path")
+	}
+}
+
 func TestHeuristicGrowsOnLatency(t *testing.T) {
 	rig := newRig(t, mem.TierSMem)
 	h := NewHeuristic()
@@ -364,23 +396,7 @@ func TestVTMMEvenSplitWithoutHotPages(t *testing.T) {
 // tickLoad advances the rig at a specific LC load fraction.
 func (r *testRig) tickLoad(t *testing.T, p Policy, loadFrac float64) {
 	t.Helper()
-	r.sys.BeginTick(100 * time.Millisecond)
-	r.sampler.BeginTick()
-	lcRes, err := r.lc.Tick(loadFrac, 0.1, p.LCStall())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.sampler.RecordAccesses(r.lc.ID(), r.lc.Dist(), lcRes.Accesses)
-	for i, be := range r.bes {
-		beRes, err := be.Tick(0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.sampler.RecordAccesses(be.ID(), be.Dist(), beRes.Accesses)
-		r.ctx.BEResults[i] = beRes
-	}
-	r.ctx.LCResult = lcRes
-	r.ctx.Now = r.now
+	r.advance(t, p, loadFrac)
 	if err := p.Tick(r.ctx); err != nil {
 		t.Fatal(err)
 	}

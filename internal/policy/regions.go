@@ -25,6 +25,7 @@ type RegionMEMTIS struct {
 	lastAgg  float64
 	promote  []mem.PageID
 	demote   []mem.PageID
+	ids      []mem.WorkloadID
 }
 
 var _ Policy = (*RegionMEMTIS)(nil)
@@ -45,7 +46,7 @@ func (p *RegionMEMTIS) Name() string { return "MEMTIS (regions)" }
 // page range.
 func (p *RegionMEMTIS) Init(ctx *Context) error {
 	clear(p.monitors)
-	for _, id := range workloadIDs(ctx) {
+	for _, id := range workloadIDs(nil, ctx) {
 		pages := ctx.Sys.WorkloadPages(id)
 		if len(pages) == 0 {
 			return fmt.Errorf("policy: workload %d has no pages", id)
@@ -65,7 +66,8 @@ func (p *RegionMEMTIS) Init(ctx *Context) error {
 // Tick implements Policy.
 func (p *RegionMEMTIS) Tick(ctx *Context) error {
 	sys := ctx.Sys
-	ids := workloadIDs(ctx)
+	p.ids = workloadIDs(p.ids, ctx)
+	ids := p.ids
 
 	// Feed this tick's sampled pages into the monitors. (At realistic
 	// sampling rates per-page counts within one tick are almost always

@@ -29,7 +29,7 @@ type TPP struct {
 	h       hist.Histogram
 	promote []mem.PageID
 	demote  []mem.PageID
-	active  map[mem.PageID]struct{}
+	ids     []mem.WorkloadID
 }
 
 var _ Policy = (*TPP)(nil)
@@ -46,7 +46,6 @@ func NewTPP() *TPP {
 		FaultCost:         9e-6,
 		Headroom:          0.02,
 		AgingInterval:     2,
-		active:            make(map[mem.PageID]struct{}),
 	}
 }
 
@@ -59,16 +58,16 @@ func (t *TPP) Init(*Context) error { return nil }
 // Tick implements Policy.
 func (t *TPP) Tick(ctx *Context) error {
 	sys := ctx.Sys
-	ids := workloadIDs(ctx)
+	t.ids = workloadIDs(t.ids, ctx)
+	ids := t.ids
 
 	// Fault-driven promotion: every SMem page sampled this tick is a
 	// promotion candidate, newest-touched first. Sampled pages — in
-	// either tier — form the active list and are exempt from demotion.
+	// either tier — form the active list and are exempt from demotion;
+	// the sampler's per-tick dedup state already answers membership.
 	t.promote = t.promote[:0]
-	clear(t.active)
 	for _, id := range ids {
 		for _, pid := range ctx.Sampler.TickPages(id) {
-			t.active[pid] = struct{}{}
 			if !sys.PageInFMem(pid) {
 				t.promote = append(t.promote, pid)
 			}
@@ -92,7 +91,7 @@ func (t *TPP) Tick(ctx *Context) error {
 				if !sys.PageInFMem(pid) {
 					continue
 				}
-				if _, isActive := t.active[pid]; isActive {
+				if ctx.Sampler.SampledThisTick(pid) {
 					continue // recently touched: on the active list
 				}
 				t.h.Add(pid, sys.PageHotness(pid))

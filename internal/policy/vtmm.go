@@ -33,6 +33,7 @@ type VTMM struct {
 	demote       []mem.PageID
 	hot          []mem.PageID // HotSplitInto scratch
 	cold         []mem.PageID
+	ids          []mem.WorkloadID
 }
 
 var _ Policy = (*VTMM)(nil)
@@ -54,7 +55,7 @@ func (v *VTMM) Name() string { return "vTMM" }
 // Init implements Policy.
 func (v *VTMM) Init(ctx *Context) error {
 	clear(v.targets)
-	for _, id := range workloadIDs(ctx) {
+	for _, id := range workloadIDs(nil, ctx) {
 		v.targets[id] = ctx.Sys.FMemPages(id)
 	}
 	v.lastDecision = 0
@@ -65,7 +66,8 @@ func (v *VTMM) Init(ctx *Context) error {
 // Tick implements Policy.
 func (v *VTMM) Tick(ctx *Context) error {
 	sys := ctx.Sys
-	ids := workloadIDs(ctx)
+	v.ids = workloadIDs(v.ids, ctx)
+	ids := v.ids
 
 	if ctx.Now-v.lastDecision >= v.IntervalSeconds {
 		v.repartition(sys, ids)

@@ -129,11 +129,17 @@ type BEOutcome struct {
 }
 
 // Result aggregates one scenario run.
+//
+// Its series are read-only: every series recorded per tick shares one
+// tick-time slice as its Times (and Time.Values), so writing through one
+// would change them all. The shared slice has cap == len, so an append
+// copies instead of writing into it.
 type Result struct {
 	Policy   string
 	Scenario Scenario
 
-	// Time series sampled each tick (including warmup).
+	// Time series sampled each tick (including warmup). The LC series
+	// stay empty without an LC workload.
 	Time        *stats.Series // tick times (value == time, convenience)
 	LCP99       *stats.Series // seconds
 	LCLoadKRPS  *stats.Series
@@ -304,6 +310,23 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 			WL: flight.WLNone, Value: scn.DurationSeconds, Detail: res.Policy})
 	}
 
+	// Series values are sized to the run up front; the tick times are
+	// recorded once and become every series' Times when the run ends.
+	times := make([]float64, 0, ticks)
+	lcSeries := []*stats.Series{res.LCP99, res.LCLoadKRPS, res.LCFMemRatio}
+	if r.lc != nil {
+		for _, s := range lcSeries {
+			s.Values = make([]float64, 0, ticks)
+		}
+	}
+	beSeries := make([]*stats.Series, len(r.bes))
+	for j, be := range r.bes {
+		beSeries[j] = res.BEFMem.Get(be.Config().Name)
+		if beSeries[j].Values == nil {
+			beSeries[j].Values = make([]float64, 0, ticks)
+		}
+	}
+
 	type beAgg struct {
 		work      float64
 		fmemPages float64
@@ -326,6 +349,7 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 		measuring := now >= scn.WarmupSeconds
 		r.sys.BeginTick(tickDur)
 		r.sampler.BeginTick()
+		times = append(times, now)
 
 		// Workload progress under current placement.
 		if r.lc != nil {
@@ -370,10 +394,9 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 				}
 			}
 
-			res.Time.Append(now, now)
-			res.LCP99.Append(now, lcRes.P99)
-			res.LCLoadKRPS.Append(now, frac*scn.LC.MaxLoadRPS/1000)
-			res.LCFMemRatio.Append(now, fmemRatio)
+			res.LCP99.Values = append(res.LCP99.Values, lcRes.P99)
+			res.LCLoadKRPS.Values = append(res.LCLoadKRPS.Values, frac*scn.LC.MaxLoadRPS/1000)
+			res.LCFMemRatio.Values = append(res.LCFMemRatio.Values, fmemRatio)
 			if measuring {
 				res.LCRequests += lcRes.Completed + lcRes.Dropped
 				res.LCViolations += lcRes.ViolationFrac * (lcRes.Completed + lcRes.Dropped)
@@ -391,10 +414,11 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 			}
 			r.sampler.RecordAccesses(be.ID(), be.Dist(), beRes.Accesses)
 			r.ctx.BEResults[j] = beRes
-			res.BEFMem.Get(be.Config().Name).Append(now, float64(r.sys.FMemPages(be.ID())))
+			fmemPages := float64(r.sys.FMemPages(be.ID()))
+			beSeries[j].Values = append(beSeries[j].Values, fmemPages)
 			if measuring {
 				beAggs[j].work += beRes.Work
-				beAggs[j].fmemPages += float64(r.sys.FMemPages(be.ID())) * dt
+				beAggs[j].fmemPages += fmemPages * dt
 			}
 		}
 		if measuring {
@@ -426,6 +450,16 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 		}
 	}
 
+	times = times[:len(times):len(times)]
+	if r.lc != nil {
+		res.Time.Times, res.Time.Values = times, times
+		for _, s := range lcSeries {
+			s.Times = times
+		}
+	}
+	for _, s := range res.BEFMem.Series() {
+		s.Times = repeatTimes(times, len(s.Values))
+	}
 	res.Ticks = ticks
 	res.MigratedBytes = r.sys.MigratedBytes() - migStart
 	if r.lc != nil && res.LCRequests > 0 {
@@ -479,6 +513,24 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 			WL: flight.WLNone, Value: res.LCViolationRate, Detail: res.Policy})
 	}
 	return res, nil
+}
+
+// repeatTimes returns the Times of a series holding n values recorded
+// over the tick times: times itself when there is one value per tick.
+// BEs sharing a name share a series, which then holds one value per BE
+// per tick, each stamped with its tick's time.
+func repeatTimes(times []float64, n int) []float64 {
+	if n == len(times) || len(times) == 0 {
+		return times
+	}
+	k := n / len(times)
+	out := make([]float64, 0, n)
+	for _, t := range times {
+		for range k {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // RunScenario is the one-shot convenience: build a runner and run it.
