@@ -180,50 +180,34 @@ func run() error {
 	return nil
 }
 
-// buildPolicy constructs the requested policy, training or loading MTAT
-// agents as needed.
+// buildPolicy constructs the requested policy. MTAT agents load from
+// agentPath when it is given; otherwise they train in-process through the
+// same trained-agent cache as every mtatd run.
 func buildPolicy(name string, scn mtat.Scenario, agentPath string, episodes int) (mtat.Policy, error) {
+	variant := mtat.VariantFull
 	switch name {
-	case "mtat-full", "mtat-lconly":
-		variant := mtat.VariantFull
-		if name == "mtat-lconly" {
-			variant = mtat.VariantLCOnly
-		}
-		cfg, err := mtat.MTATConfigFor(scn)
-		if err != nil {
-			return nil, err
-		}
-		m, err := mtat.NewMTAT(variant, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if agentPath != "" {
-			weights, err := os.ReadFile(agentPath)
-			if err != nil {
-				return nil, err
-			}
-			if err := m.LoadAgent(weights); err != nil {
-				return nil, err
-			}
-			m.SetEvalMode(true)
-		} else {
-			fmt.Fprintf(os.Stderr, "training %s for %d episodes (pass -agent to skip)...\n",
-				m.Name(), episodes)
-			trainScn := scn
-			trainScn.Load = mtat.Fig7Load()
-			trainScn.DurationSeconds = 0
-			trainScn.TickSeconds = 0.25
-			if err := mtat.Pretrain(m, trainScn, episodes); err != nil {
-				return nil, err
-			}
-		}
-		m.ResetEpisode()
-		return m, nil
+	case "mtat-full":
+	case "mtat-lconly":
+		variant = mtat.VariantLCOnly
 	default:
 		// Baselines need no training; NewPolicyByName rejects unknown
 		// names with the full valid list.
 		return mtat.NewPolicyByName(context.Background(), name, scn, 0)
 	}
+	if agentPath == "" {
+		fmt.Fprintf(os.Stderr, "training %s for %d episodes (pass -agent to skip)...\n",
+			variant, episodes)
+		return mtat.NewPolicyByName(context.Background(), name, scn, episodes)
+	}
+	cfg, err := mtat.MTATConfigFor(scn)
+	if err != nil {
+		return nil, err
+	}
+	weights, err := os.ReadFile(agentPath)
+	if err != nil {
+		return nil, err
+	}
+	return mtat.LoadMTAT(variant, cfg, weights)
 }
 
 func splitList(s string) []string {

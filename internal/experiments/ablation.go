@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -56,18 +57,20 @@ func runAblation(s *Suite, w io.Writer) error {
 	for _, v := range variants {
 		cfg := s.mtatConfig(scn)
 		v.mut(&cfg)
-		m, err := core.New(core.VariantFull, cfg)
-		if err != nil {
-			return err
-		}
+		var m *core.MTAT
+		var err error
 		if v.train {
-			s.logf("ablation: training %s (%d episodes)", v.name, s.cfg.Episodes)
 			trainScn := scn
 			trainScn.TickSeconds = s.cfg.TrainTickSeconds
-			if err := sim.PretrainMTAT(m, trainScn, s.cfg.Episodes); err != nil {
-				return err
-			}
-			m.ResetEpisode()
+			spec := sim.AgentSpec{Variant: core.VariantFull, Config: cfg, Scenario: trainScn, Episodes: s.cfg.Episodes}
+			m, err = sim.TrainedMTAT(context.Background(), spec, func() {
+				s.logf("ablation: training %s (%d episodes)", v.name, s.cfg.Episodes)
+			})
+		} else {
+			m, err = core.New(core.VariantFull, cfg)
+		}
+		if err != nil {
+			return err
 		}
 		res, err := sim.RunScenario(scn, m)
 		if err != nil {

@@ -5,12 +5,13 @@
 // SLO-violation studies (Figure 9, Table 4), the settings sweep (Table 3),
 // and the overhead measurements (§5.5).
 //
-// Experiments share a Suite, which caches expensive artifacts — trained
-// MTAT agents and completed scenario runs — so that, e.g., Figure 6 reuses
-// Figure 5's runs and Table 4 reuses Figure 9's.
+// Experiments share a Suite, which caches completed scenario runs so
+// that, e.g., Figure 6 reuses Figure 5's runs and Table 4 reuses Figure
+// 9's. Trained MTAT agents come from sim's process-wide agent cache.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -120,8 +121,6 @@ func (c Config) Validate() error {
 // Suite carries the configuration plus caches shared across experiments.
 type Suite struct {
 	cfg Config
-	// agents caches trained MTAT agent weights per scenario key.
-	agents map[string][]byte
 	// fig5 caches the dynamic-load runs: lcName -> policy name -> result.
 	fig5 map[string]map[string]*sim.Result
 	// fig9 caches the constant-load Redis runs: policy -> load -> result.
@@ -136,10 +135,9 @@ func NewSuite(cfg Config) (*Suite, error) {
 		return nil, err
 	}
 	return &Suite{
-		cfg:    cfg,
-		agents: make(map[string][]byte),
-		fig5:   make(map[string]map[string]*sim.Result),
-		fig9:   make(map[string]map[float64]*sim.Result),
+		cfg:  cfg,
+		fig5: make(map[string]map[string]*sim.Result),
+		fig9: make(map[string]map[float64]*sim.Result),
 	}, nil
 }
 
@@ -189,34 +187,16 @@ func (s *Suite) mtatConfig(scn sim.Scenario) core.PPMConfig {
 }
 
 // trainedMTAT returns a frozen, evaluation-mode MTAT policy of the given
-// variant for scn, training (and caching) the agent on the scenario's load
-// pattern if this key has not been trained yet.
+// variant for scn, with its agent trained on the scenario's load pattern
+// through the process-wide trained-agent cache (sim.TrainedMTAT). key
+// names the agent in the progress line logged when it has to be trained.
 func (s *Suite) trainedMTAT(variant core.Variant, scn sim.Scenario, key string) (*core.MTAT, error) {
-	fullKey := fmt.Sprintf("%s/%d", key, variant)
-	m, err := core.New(variant, s.mtatConfig(scn))
-	if err != nil {
-		return nil, err
-	}
-	if weights, ok := s.agents[fullKey]; ok {
-		if err := m.LoadAgent(weights); err != nil {
-			return nil, err
-		}
-		m.SetEvalMode(true)
-		m.ResetEpisode()
-		return m, nil
-	}
-	s.logf("training %s for %s (%d episodes)...", variant, key, s.cfg.Episodes)
 	trainScn := scn
 	trainScn.TickSeconds = s.cfg.TrainTickSeconds
-	if err := sim.PretrainMTAT(m, trainScn, s.cfg.Episodes); err != nil {
-		return nil, err
-	}
-	weights, err := m.SaveAgent()
-	if err != nil {
-		return nil, err
-	}
-	s.agents[fullKey] = weights
-	return m, nil
+	spec := sim.AgentSpec{Variant: variant, Config: s.mtatConfig(scn), Scenario: trainScn, Episodes: s.cfg.Episodes}
+	return sim.TrainedMTAT(context.Background(), spec, func() {
+		s.logf("training %s for %s (%d episodes)...", variant, key, s.cfg.Episodes)
+	})
 }
 
 // policyList builds a fresh policy instance per name. MTAT variants are

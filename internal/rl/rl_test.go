@@ -343,3 +343,47 @@ func TestSACSerializationRoundTrip(t *testing.T) {
 		t.Error("malformed JSON accepted")
 	}
 }
+
+func TestSACSnapshotRestore(t *testing.T) {
+	cfg := DefaultSACConfig()
+	cfg.Seed = 22
+	a, err := NewSAC(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := func(n int) {
+		for i := 0; i < n; i++ {
+			s := []float64{float64(i%10) / 10, 0.5, 0.2}
+			act, _ := a.SelectAction(s, false)
+			if err := a.Observe(Transition{State: s, Action: act, Reward: 0.5, NextState: s}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	train(120)
+	snap := a.Snapshot()
+	state := []float64{0.3, 0.6, 0.9}
+	want, _ := a.SelectAction(state, true)
+	wantQ, _ := a.QValue(state, 0.5)
+	train(120) // later training must not reach the snapshot
+
+	b, err := NewSAC(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := b.SelectAction(state, true); got != want {
+		t.Errorf("restored policy %g, snapshot-time policy %g", got, want)
+	}
+	if got, _ := b.QValue(state, 0.5); got != wantQ {
+		t.Errorf("restored critic %g, snapshot-time critic %g", got, wantQ)
+	}
+	if snap.Updates == 0 || b.TotalUpdates() != snap.Updates {
+		t.Errorf("restored agent reports %d updates, snapshot %d", b.TotalUpdates(), snap.Updates)
+	}
+	if err := b.Restore(Weights{}); err == nil {
+		t.Error("restoring empty weights succeeded")
+	}
+}

@@ -209,7 +209,8 @@ func (s *SAC) alpha() float64 { return math.Exp(s.logAlpha) }
 // Alpha exposes the entropy temperature for diagnostics.
 func (s *SAC) Alpha() float64 { return s.alpha() }
 
-// TotalUpdates returns the number of gradient steps taken.
+// TotalUpdates returns the number of gradient steps behind the agent's
+// weights: those it took, plus those restored with its weights.
 func (s *SAC) TotalUpdates() int { return s.totalUpdates }
 
 // ReplayLen returns the number of stored transitions.

@@ -235,6 +235,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	m.gQueued = reg.Gauge("server_queue_depth")
 	m.gRunning = reg.Gauge("server_runs_running")
 	m.gRetained = reg.Gauge("server_results_retained")
+	sim.PublishAgentCache(cfg.Telemetry)
 
 	var pending []*run
 	if cfg.DataDir != "" {
@@ -612,6 +613,9 @@ func (m *Manager) runOne(r *run) {
 	}
 	res, err := execute(ctx, r.spec, r.tel, r.flight, m.cfg.DefaultEpisodes)
 	span.End(err)
+	// The trained-agent cache is process-wide, not per run: mirror its
+	// totals on the daemon sink after every run, failed ones included.
+	sim.PublishAgentCache(m.cfg.Telemetry)
 	// Each run records into a private sink; re-publish its core
 	// accounting on the daemon sink so /metrics carries cross-run
 	// sim_* aggregates, and feed the admission cost model with the

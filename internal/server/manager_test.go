@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -401,5 +402,44 @@ func TestManagerMetrics(t *testing.T) {
 	}
 	if got := reg.Counter("server_runs_done_total").Value(); got != 1 {
 		t.Errorf("done counter = %d", got)
+	}
+}
+
+func TestAgentCacheMetrics(t *testing.T) {
+	tel := telemetry.New()
+	m := newTestManager(t, Config{Workers: 1, Telemetry: tel})
+	defer shutdownOrFail(t, m, 30*time.Second)
+	reg := tel.Metrics()
+	for _, name := range []string{telemetry.MetricSimAgentCacheHits, telemetry.MetricSimAgentCacheMisses} {
+		if _, ok := reg.Snapshot().Counters[name]; !ok {
+			t.Fatalf("%s not exported before any run", name)
+		}
+	}
+	spec := shortSpec(8107)
+	spec.Policy = "mtat-full"
+	spec.Episodes = 1
+	var results [2]*RunResult
+	for i := range results {
+		st, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		final, err := m.WaitRun(ctx, st.ID)
+		cancel()
+		if err != nil || final.State != StateDone {
+			t.Fatalf("run %d: %v, state %s (err %q)", i, err, final.State, final.Error)
+		}
+		results[i] = final.Result
+	}
+	hits := reg.Counter(telemetry.MetricSimAgentCacheHits).Value()
+	misses := reg.Counter(telemetry.MetricSimAgentCacheMisses).Value()
+	if hits < 1 || misses < 1 {
+		t.Errorf("agent cache hits=%d misses=%d, want both >= 1", hits, misses)
+	}
+	a, b := *results[0], *results[1]
+	a.Core, b.Core = nil, nil
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("cache-hit run differs from the training run:\n%+v\n%+v", a, b)
 	}
 }

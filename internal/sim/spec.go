@@ -307,10 +307,10 @@ func MTATConfigFor(scn Scenario) (core.PPMConfig, error) {
 const DefaultPretrainEpisodes = 20
 
 // NewPolicy constructs the named policy for the scenario. MTAT variants
-// are pre-trained in-process on the scenario's geometry under the
-// Figure 7 ramp for the given number of episodes (<= 0 selects
-// DefaultPretrainEpisodes); ctx cancels training between ticks. Baselines
-// ignore ctx and episodes.
+// come pre-trained on the scenario's geometry under the Figure 7 ramp for
+// the given number of episodes (<= 0 selects DefaultPretrainEpisodes),
+// through the process-wide trained-agent cache (TrainedMTAT); ctx cancels
+// training between ticks. Baselines ignore ctx and episodes.
 func NewPolicy(ctx context.Context, name string, scn Scenario, episodes int) (policy.Policy, error) {
 	switch name {
 	case "fmem-all":
@@ -328,33 +328,35 @@ func NewPolicy(ctx context.Context, name string, scn Scenario, episodes int) (po
 	case "memtis-region":
 		return policy.NewRegionMEMTIS(), nil
 	case "mtat-full", "mtat-lconly":
-		variant := core.VariantFull
-		if name == "mtat-lconly" {
-			variant = core.VariantLCOnly
-		}
-		cfg, err := MTATConfigFor(scn)
+		spec, err := mtatAgentSpec(name, scn, episodes)
 		if err != nil {
 			return nil, err
 		}
-		m, err := core.New(variant, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if episodes <= 0 {
-			episodes = DefaultPretrainEpisodes
-		}
-		trainScn := scn
-		trainScn.Load = loadgen.Fig7()
-		trainScn.DurationSeconds = 0
-		trainScn.TickSeconds = 0.25
-		trainScn.Telemetry = nil // training must not pollute the run's trace
-		if err := PretrainMTATContext(ctx, m, trainScn, episodes); err != nil {
-			return nil, err
-		}
-		m.ResetEpisode()
-		return m, nil
+		return TrainedMTAT(ctx, spec, nil)
 	default:
 		return nil, fmt.Errorf("sim: unknown policy %q (valid: %s)",
 			name, strings.Join(PolicyNames(), ", "))
 	}
+}
+
+// mtatAgentSpec is NewPolicy's pretraining run for an MTAT policy name:
+// the scenario's geometry, workloads and seed under the Figure 7 ramp at
+// 0.25 s ticks.
+func mtatAgentSpec(name string, scn Scenario, episodes int) (AgentSpec, error) {
+	variant := core.VariantFull
+	if name == "mtat-lconly" {
+		variant = core.VariantLCOnly
+	}
+	cfg, err := MTATConfigFor(scn)
+	if err != nil {
+		return AgentSpec{}, err
+	}
+	if episodes <= 0 {
+		episodes = DefaultPretrainEpisodes
+	}
+	trainScn := scn
+	trainScn.Load = loadgen.Fig7()
+	trainScn.DurationSeconds = 0
+	trainScn.TickSeconds = 0.25
+	return AgentSpec{Variant: variant, Config: cfg, Scenario: trainScn, Episodes: episodes}, nil
 }

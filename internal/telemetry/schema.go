@@ -110,6 +110,10 @@ const (
 	MetricSimGCPause     = "sim_gc_pause_seconds"
 	MetricSimTickRate    = "sim_ticks_per_second"
 
+	// Trained-agent cache lookups, process-wide (see sim.TrainedMTAT).
+	MetricSimAgentCacheHits   = "sim_agent_cache_hits_total"
+	MetricSimAgentCacheMisses = "sim_agent_cache_misses_total"
+
 	// Fleet slow-cell visibility: per-cell wall time and the count of
 	// cells flagged slower than SlowCellFactor × the sweep median.
 	MetricFleetCellWall  = "fleet_cell_wall_seconds"

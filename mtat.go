@@ -44,6 +44,7 @@ import (
 	"github.com/tieredmem/mtat/internal/loadgen"
 	"github.com/tieredmem/mtat/internal/mem"
 	"github.com/tieredmem/mtat/internal/policy"
+	"github.com/tieredmem/mtat/internal/rl"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
 	"github.com/tieredmem/mtat/internal/workload"
@@ -79,7 +80,8 @@ type (
 	LoadPattern = loadgen.Pattern
 	// ExperimentsConfig scopes a paper-evaluation experiment suite.
 	ExperimentsConfig = experiments.Config
-	// ExperimentSuite caches trained agents and runs across experiments.
+	// ExperimentSuite caches runs across experiments; its trained agents
+	// come from the process-wide trained-agent cache.
 	ExperimentSuite = experiments.Suite
 	// Experiment is one reproducible table or figure.
 	Experiment = experiments.Experiment
@@ -208,6 +210,17 @@ func NewPolicyByName(ctx context.Context, name string, scn Scenario, episodes in
 // the BE allocation unit scales with the memory geometry.
 func MTATConfigFor(scn Scenario) (MTATConfig, error) {
 	return sim.MTATConfigFor(scn)
+}
+
+// LoadMTAT returns an evaluation-mode MTAT policy of the given variant
+// whose agent holds the weights SaveAgent wrote (mtattrain's output),
+// built the same way as every pretrained MTAT policy.
+func LoadMTAT(variant Variant, cfg MTATConfig, data []byte) (*MTAT, error) {
+	w, err := rl.ParseWeights(data)
+	if err != nil {
+		return nil, err
+	}
+	return sim.MTATFromWeights(variant, cfg, w)
 }
 
 // Pretrain trains an MTAT agent on the scenario's load pattern for the
