@@ -15,6 +15,8 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
+
+	"github.com/tieredmem/mtat/internal/ring"
 )
 
 // Event kinds recorded by the simulator core.
@@ -79,22 +81,19 @@ type Sink func(Event)
 // concurrent use and are no-ops on a nil receiver, so a dump can be
 // taken while the run is still ticking.
 type Recorder struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int    // write cursor
-	length  int    // occupied slots
-	seq     uint64 // next sequence number
-	dropped uint64 // events overwritten
-	sink    Sink
+	mu   sync.Mutex
+	buf  ring.Ring[Event]
+	seq  uint64 // next sequence number
+	sink Sink
 }
 
 // New returns a recorder retaining up to capacity events (<= 0 selects
-// DefaultCapacity).
+// DefaultCapacity). Storage grows with the events recorded.
 func New(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return &Recorder{buf: ring.New[Event](capacity)}
 }
 
 // SetSink installs (or clears, with nil) the live forwarding sink.
@@ -116,13 +115,7 @@ func (r *Recorder) Record(ev Event) {
 	r.mu.Lock()
 	ev.Seq = r.seq
 	r.seq++
-	r.buf[r.next] = ev
-	r.next = (r.next + 1) % len(r.buf)
-	if r.length < len(r.buf) {
-		r.length++
-	} else {
-		r.dropped++
-	}
+	r.buf.Push(ev)
 	sink := r.sink
 	if sink != nil {
 		sink(ev)
@@ -137,7 +130,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.length
+	return r.buf.Len()
 }
 
 // Dropped returns how many events the ring has overwritten.
@@ -147,47 +140,35 @@ func (r *Recorder) Dropped() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	return r.buf.Dropped()
 }
 
 // Events returns the retained events oldest-first. The slice is a
 // snapshot owned by the caller; nil on a nil receiver.
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.eventsAfterLocked(0, true)
-}
+func (r *Recorder) Events() []Event { return r.events(nil) }
 
 // EventsAfter returns retained events with Seq > after, oldest-first —
 // the cursor behind `GET .../flight?after=` so pollers fetch only what
 // is new instead of the whole ring every time.
-func (r *Recorder) EventsAfter(after uint64) []Event {
+func (r *Recorder) EventsAfter(after uint64) []Event { return r.events(&after) }
+
+func (r *Recorder) events(after *uint64) []Event {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.eventsAfterLocked(after, false)
+	return r.eventsLocked(after)
 }
 
-// eventsAfterLocked collects retained events with Seq > after (all of
-// them when all is true). Callers hold r.mu.
-func (r *Recorder) eventsAfterLocked(after uint64, all bool) []Event {
-	out := make([]Event, 0, r.length)
-	start := r.next - r.length
-	if start < 0 {
-		start += len(r.buf)
+// eventsLocked collects retained events oldest-first: all of them when
+// after is nil, else those with Seq > *after. Callers hold r.mu.
+func (r *Recorder) eventsLocked(after *uint64) []Event {
+	out := make([]Event, 0, r.buf.Len())
+	if after == nil {
+		return r.buf.Append(out, nil)
 	}
-	for i := 0; i < r.length; i++ {
-		ev := r.buf[(start+i)%len(r.buf)]
-		if all || ev.Seq > after {
-			out = append(out, ev)
-		}
-	}
-	return out
+	return r.buf.Append(out, func(ev *Event) bool { return ev.Seq > *after })
 }
 
 // Dump is the JSON document served for one run's flight recorder.
@@ -201,44 +182,35 @@ type Dump struct {
 
 // Snapshot captures the recorder as a Dump. A nil receiver yields an
 // empty dump with a non-nil Events slice.
-func (r *Recorder) Snapshot() Dump {
-	if r == nil {
-		return Dump{Events: []Event{}}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return Dump{
-		Capacity: len(r.buf),
-		Dropped:  r.dropped,
-		Events:   r.eventsAfterLocked(0, true),
-	}
-}
+func (r *Recorder) Snapshot() Dump { return r.snapshot(nil) }
 
 // SnapshotAfter captures a Dump holding only events with Seq > after.
 // Capacity and Dropped still describe the whole ring.
-func (r *Recorder) SnapshotAfter(after uint64) Dump {
+func (r *Recorder) SnapshotAfter(after uint64) Dump { return r.snapshot(&after) }
+
+func (r *Recorder) snapshot(after *uint64) Dump {
 	if r == nil {
 		return Dump{Events: []Event{}}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return Dump{
-		Capacity: len(r.buf),
-		Dropped:  r.dropped,
-		Events:   r.eventsAfterLocked(after, false),
+		Capacity: r.buf.Cap(),
+		Dropped:  r.buf.Dropped(),
+		Events:   r.eventsLocked(after),
 	}
 }
 
 // WriteJSON renders the recorder's snapshot as indented JSON.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
-}
+func (r *Recorder) WriteJSON(w io.Writer) error { return writeDump(w, r.Snapshot()) }
 
 // WriteJSONAfter renders SnapshotAfter(after) as indented JSON.
 func (r *Recorder) WriteJSONAfter(w io.Writer, after uint64) error {
+	return writeDump(w, r.SnapshotAfter(after))
+}
+
+func writeDump(w io.Writer, d Dump) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r.SnapshotAfter(after))
+	return enc.Encode(d)
 }

@@ -63,7 +63,7 @@ func TestRingOverwritesOldest(t *testing.T) {
 
 func TestDefaultCapacity(t *testing.T) {
 	r := New(0)
-	if got := len(r.buf); got != DefaultCapacity {
+	if got := r.buf.Cap(); got != DefaultCapacity {
 		t.Fatalf("capacity = %d, want %d", got, DefaultCapacity)
 	}
 }

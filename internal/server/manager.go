@@ -49,8 +49,11 @@ const (
 	DefaultQueueCap = 64
 	DefaultMaxRuns  = 256
 	// DefaultRunTraceCapacity bounds each run's private trace ring. The
-	// telemetry default (1<<16 events) is sized for one process-wide
-	// sink; a service retaining hundreds of runs wants a smaller ring.
+	// ring's storage grows with the events a run emits, so the bound
+	// costs nothing up front; it caps what one long, eventful run can
+	// pin while retained. The telemetry default (1<<16 events) is sized
+	// for one process-wide sink; a service retaining hundreds of runs
+	// keeps each run's worst case smaller.
 	DefaultRunTraceCapacity = 1 << 12
 	// DefaultCompactEvery is the number of journal delta records between
 	// snapshot compactions when persistence is enabled.

@@ -1,9 +1,13 @@
 package telemetry
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/tieredmem/mtat/internal/ring"
 )
 
 // EventBus is the push half of the observability layer: a bounded
@@ -187,8 +191,8 @@ func (b *EventBus) Publish(ev BusEvent) uint64 {
 		return 0
 	}
 	b.mu.Lock()
-	ring := b.topics[ev.Topic]
-	matched := ring != nil
+	tr := b.topics[ev.Topic]
+	matched := tr != nil
 	if !matched {
 		for s := range b.subs {
 			if s.topic == "" || s.topic == ev.Topic {
@@ -206,8 +210,8 @@ func (b *EventBus) Publish(ev BusEvent) uint64 {
 	if ev.TS.IsZero() {
 		ev.TS = time.Now()
 	}
-	if ring != nil {
-		ring.push(ev)
+	if tr != nil {
+		tr.push(ev)
 	}
 	for s := range b.subs {
 		if s.topic == "" || s.topic == ev.Topic {
@@ -237,39 +241,42 @@ func (b *EventBus) Subscribe(topic string, afterID uint64, filter func(BusEvent)
 		bus:    b,
 		topic:  topic,
 		filter: filter,
-		buf:    make([]BusEvent, b.subCap),
 		notify: make(chan struct{}, 1),
 	}
 	b.mu.Lock()
 	var replay []BusEvent
 	if topic != "" {
-		ring := b.topics[topic]
-		if ring == nil {
-			ring = newTopicRing(b.ringCap)
+		tr := b.topics[topic]
+		if tr == nil {
+			tr = newTopicRing(b.ringCap)
 			// Recency watermark: an empty just-created ring must rank as
 			// the most recent, or the LRU eviction below would victimize
 			// the very topic being subscribed.
-			ring.lastID = b.nextID
-			b.topics[topic] = ring
+			tr.lastID = b.nextID
+			b.topics[topic] = tr
 			b.evictTopicsLocked()
 		}
-		replay = ring.after(afterID)
-		s.gap = ring.missing(afterID)
+		replay = tr.after(replay, afterID)
+		s.gap = tr.missing(afterID)
 	} else {
-		for _, ring := range b.topics {
-			replay = append(replay, ring.after(afterID)...)
-			s.gap += ring.missing(afterID)
+		for _, tr := range b.topics {
+			replay = tr.after(replay, afterID)
+			s.gap += tr.missing(afterID)
 		}
-		sortBusEvents(replay)
+		// Each ring is in ID order; their concatenation is not.
+		slices.SortFunc(replay, func(a, b BusEvent) int { return cmp.Compare(a.ID, b.ID) })
 	}
 	// The replay must land intact and strictly before any live event:
-	// grow the buffer to hold the whole burst (drop-oldest here would
-	// silently reopen the gap the resume just closed), and offer it
-	// before registering the subscriber so a concurrent Publish cannot
-	// interleave a newer event ahead of older replayed ones.
-	if len(replay) > len(s.buf) {
-		s.buf = make([]BusEvent, len(replay)+b.subCap)
+	// bound the buffer to hold the whole burst on top of the live
+	// allowance (drop-oldest here would silently reopen the gap the
+	// resume just closed), and offer it before registering the
+	// subscriber so a concurrent Publish cannot interleave a newer event
+	// ahead of older replayed ones.
+	bound := b.subCap
+	if len(replay) > bound {
+		bound += len(replay)
 	}
+	s.buf = ring.New[BusEvent](bound)
 	for _, ev := range replay {
 		if !s.offer(ev) {
 			b.dropped.Add(1)
@@ -342,31 +349,18 @@ func (b *EventBus) evictTopicsLocked() {
 	for len(b.topics) > b.maxTopics {
 		victim := ""
 		var oldest uint64
-		for name, ring := range b.topics {
-			if victim == "" || ring.lastID < oldest {
-				victim, oldest = name, ring.lastID
+		for name, tr := range b.topics {
+			if victim == "" || tr.lastID < oldest {
+				victim, oldest = name, tr.lastID
 			}
 		}
 		delete(b.topics, victim)
 	}
 }
 
-// sortBusEvents orders a replay batch by ID (insertion sort — batches
-// are small and mostly sorted, coming from per-topic rings that are
-// each already ordered).
-func sortBusEvents(evs []BusEvent) {
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j-1].ID > evs[j].ID; j-- {
-			evs[j-1], evs[j] = evs[j], evs[j-1]
-		}
-	}
-}
-
 // topicRing is one topic's bounded replay history.
 type topicRing struct {
-	buf    []BusEvent
-	next   int
-	length int
+	buf ring.Ring[BusEvent]
 	// firstID is the ID of the first event ever pushed (0 before any);
 	// lastID the newest. Together with the ring contents they make gap
 	// accounting exact.
@@ -375,7 +369,7 @@ type topicRing struct {
 }
 
 func newTopicRing(capacity int) *topicRing {
-	return &topicRing{buf: make([]BusEvent, capacity)}
+	return &topicRing{buf: ring.New[BusEvent](capacity)}
 }
 
 func (r *topicRing) push(ev BusEvent) {
@@ -383,54 +377,26 @@ func (r *topicRing) push(ev BusEvent) {
 		r.firstID = ev.ID
 	}
 	r.lastID = ev.ID
-	r.buf[r.next] = ev
-	r.next = (r.next + 1) % len(r.buf)
-	if r.length < len(r.buf) {
-		r.length++
-	}
+	r.buf.Push(ev)
 }
 
-// oldestID returns the ID of the oldest retained event, 0 when empty.
-func (r *topicRing) oldestID() uint64 {
-	if r.length == 0 {
-		return 0
-	}
-	start := r.next - r.length
-	if start < 0 {
-		start += len(r.buf)
-	}
-	return r.buf[start].ID
-}
-
-// after returns retained events with ID > afterID, oldest first.
-func (r *topicRing) after(afterID uint64) []BusEvent {
-	if r.length == 0 {
-		return nil
-	}
-	start := r.next - r.length
-	if start < 0 {
-		start += len(r.buf)
-	}
-	var out []BusEvent
-	for i := 0; i < r.length; i++ {
-		ev := r.buf[(start+i)%len(r.buf)]
-		if ev.ID > afterID {
-			out = append(out, ev)
-		}
-	}
-	return out
+// after appends retained events with ID > afterID to dst, oldest
+// first.
+func (r *topicRing) after(dst []BusEvent, afterID uint64) []BusEvent {
+	return r.buf.Append(dst, func(ev *BusEvent) bool { return ev.ID > afterID })
 }
 
 // missing reports how many of this topic's events in (afterID, now]
 // the ring no longer retains — the exact resume gap.
 func (r *topicRing) missing(afterID uint64) uint64 {
-	oldest := r.oldestID()
-	if oldest == 0 {
+	front, ok := r.buf.Front()
+	if !ok {
 		// Empty ring: if events were ever pushed the ring has since been
 		// rebuilt, which cannot happen (rings only drop whole); nothing
 		// is missing.
 		return 0
 	}
+	oldest := front.ID
 	// Events with ID < oldest are gone, but only the ones on this topic
 	// are the subscriber's loss; topic IDs are bus-global so the precise
 	// per-topic count is unknowable once overwritten. What IS exact:
@@ -458,13 +424,10 @@ type Subscriber struct {
 	topic  string
 	filter func(BusEvent) bool
 
-	mu      sync.Mutex
-	buf     []BusEvent
-	next    int
-	length  int
-	dropped uint64
-	gap     uint64
-	closed  bool
+	mu     sync.Mutex
+	buf    ring.Ring[BusEvent]
+	gap    uint64
+	closed bool
 
 	notify chan struct{}
 }
@@ -481,14 +444,8 @@ func (s *Subscriber) offer(ev BusEvent) bool {
 		s.mu.Unlock()
 		return true
 	}
-	overflowed := s.length == len(s.buf)
-	s.buf[s.next] = ev
-	s.next = (s.next + 1) % len(s.buf)
-	if overflowed {
-		s.dropped++
-	} else {
-		s.length++
-	}
+	overflowed := s.buf.Len() == s.buf.Cap()
+	s.buf.Push(ev)
 	s.mu.Unlock()
 	select {
 	case s.notify <- struct{}{}:
@@ -505,19 +462,10 @@ func (s *Subscriber) Next(done <-chan struct{}) (BusEvent, bool) {
 		return BusEvent{}, false
 	}
 	for {
-		s.mu.Lock()
-		if s.length > 0 {
-			start := s.next - s.length
-			if start < 0 {
-				start += len(s.buf)
-			}
-			ev := s.buf[start]
-			s.length--
-			s.mu.Unlock()
+		ev, ok, closed := s.pop()
+		if ok {
 			return ev, true
 		}
-		closed := s.closed
-		s.mu.Unlock()
 		if closed {
 			return BusEvent{}, false
 		}
@@ -535,18 +483,17 @@ func (s *Subscriber) TryNext() (BusEvent, bool) {
 	if s == nil {
 		return BusEvent{}, false
 	}
+	ev, ok, _ := s.pop()
+	return ev, ok
+}
+
+// pop takes the oldest buffered event, if any, and reports whether the
+// subscriber is closed.
+func (s *Subscriber) pop() (ev BusEvent, ok, closed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.length == 0 {
-		return BusEvent{}, false
-	}
-	start := s.next - s.length
-	if start < 0 {
-		start += len(s.buf)
-	}
-	ev := s.buf[start]
-	s.length--
-	return ev, true
+	ev, ok = s.buf.PopFront()
+	return ev, ok, s.closed
 }
 
 // Dropped returns how many events this subscriber's buffer overwrote.
@@ -556,7 +503,7 @@ func (s *Subscriber) Dropped() uint64 {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.dropped
+	return s.buf.Dropped()
 }
 
 // Gap returns how many events between the requested resume point and

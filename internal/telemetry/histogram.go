@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"github.com/tieredmem/mtat/internal/ring"
 )
 
 // Histogram is a sliding-window sample reservoir: it retains the most
@@ -15,12 +17,10 @@ import (
 // use and are no-ops on a nil receiver.
 type Histogram struct {
 	mu      sync.Mutex
-	samples []float64 // ring buffer, filled to len(samples) then wrapping
-	next    int       // next write position
-	filled  int       // number of valid samples (<= cap)
-	count   uint64    // total observations ever
-	sum     float64   // all-time sum (for the all-time mean)
-	scratch []float64 // reused sort buffer for snapshots
+	samples ring.Ring[float64] // the window
+	count   uint64             // total observations ever
+	sum     float64            // all-time sum (for the all-time mean)
+	scratch []float64          // reused sort buffer for snapshots
 	// buckets counts all-time observations <= each DefBuckets bound
 	// (non-cumulative per cell; cumulated at export). Observations above
 	// the last bound land only in count — the implicit +Inf bucket.
@@ -54,7 +54,7 @@ func NewHistogram(window int) *Histogram {
 	if window <= 0 {
 		window = DefaultHistWindow
 	}
-	return &Histogram{samples: make([]float64, window)}
+	return &Histogram{samples: ring.New[float64](window)}
 }
 
 // Observe records one sample.
@@ -73,14 +73,7 @@ func (h *Histogram) observe(v float64, traceID string) {
 		return
 	}
 	h.mu.Lock()
-	h.samples[h.next] = v
-	h.next++
-	if h.next == len(h.samples) {
-		h.next = 0
-	}
-	if h.filled < len(h.samples) {
-		h.filled++
-	}
+	h.samples.Push(v)
 	h.count++
 	h.sum += v
 	bucket := len(DefBuckets) // implicit +Inf
@@ -162,16 +155,11 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := HistSnapshot{Count: h.count, Window: h.filled}
-	if h.filled == 0 {
+	s := HistSnapshot{Count: h.count, Window: h.samples.Len()}
+	if s.Window == 0 {
 		return s
 	}
-	if cap(h.scratch) < h.filled {
-		h.scratch = make([]float64, h.filled)
-	}
-	buf := h.scratch[:h.filled]
-	copy(buf, h.samples[:h.filled])
-	sort.Float64s(buf)
+	buf := h.sortedLocked()
 	s.Min = buf[0]
 	s.Max = buf[len(buf)-1]
 	sum := 0.0
@@ -194,16 +182,18 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.filled == 0 {
+	if h.samples.Len() == 0 {
 		return 0
 	}
-	if cap(h.scratch) < h.filled {
-		h.scratch = make([]float64, h.filled)
-	}
-	buf := h.scratch[:h.filled]
-	copy(buf, h.samples[:h.filled])
-	sort.Float64s(buf)
-	return quantileSorted(buf, q)
+	return quantileSorted(h.sortedLocked(), q)
+}
+
+// sortedLocked copies the window into the reused scratch buffer and
+// sorts it. Callers hold h.mu.
+func (h *Histogram) sortedLocked() []float64 {
+	h.scratch = h.samples.Append(h.scratch[:0], nil)
+	sort.Float64s(h.scratch)
+	return h.scratch
 }
 
 // quantileSorted returns the q-quantile of a sorted, non-empty sample via

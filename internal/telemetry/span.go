@@ -11,8 +11,9 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"github.com/tieredmem/mtat/internal/ring"
 )
 
 // Distributed request tracing. One request (a mtatctl submission, a
@@ -337,29 +338,26 @@ func (s *ActiveSpan) End(err error) {
 const DefaultSpanCapacity = 1 << 13
 
 // SpanStore retains the most recent finished spans of one process in a
-// fixed-capacity ring. Emission is O(1); overflow overwrites the
-// oldest span and is counted (surfaced as telemetry_spans_dropped_total
-// so silent loss is observable). All methods are safe for concurrent
-// use and no-ops on a nil receiver.
+// bounded ring. Emission is O(1); overflow overwrites the oldest span
+// and is counted (surfaced as telemetry_spans_dropped_total so silent
+// loss is observable). All methods are safe for concurrent use and
+// no-ops on a nil receiver.
 type SpanStore struct {
 	service string
 
 	mu    sync.Mutex
-	buf   []Span
-	next  int
+	buf   ring.Ring[Span]
 	count uint64
-
-	dropped atomic.Uint64
 }
 
 // NewSpanStore returns a store retaining the last capacity spans,
 // stamping each with the given service name (<= 0 selects
-// DefaultSpanCapacity).
+// DefaultSpanCapacity). Storage grows with the spans recorded.
 func NewSpanStore(service string, capacity int) *SpanStore {
 	if capacity <= 0 {
 		capacity = DefaultSpanCapacity
 	}
-	return &SpanStore{service: service, buf: make([]Span, 0, capacity)}
+	return &SpanStore{service: service, buf: ring.New[Span](capacity)}
 }
 
 // SetService names the process recorded on every span (e.g. "mtatd").
@@ -409,16 +407,7 @@ func (st *SpanStore) add(sp Span) {
 		return
 	}
 	st.mu.Lock()
-	if len(st.buf) < cap(st.buf) {
-		st.buf = append(st.buf, sp)
-	} else {
-		st.buf[st.next] = sp
-		st.dropped.Add(1)
-	}
-	st.next++
-	if st.next == cap(st.buf) {
-		st.next = 0
-	}
+	st.buf.Push(sp)
 	st.count++
 	st.mu.Unlock()
 }
@@ -430,7 +419,7 @@ func (st *SpanStore) Len() int {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.buf)
+	return st.buf.Len()
 }
 
 // Count returns the total number of spans ever recorded.
@@ -448,7 +437,9 @@ func (st *SpanStore) Dropped() uint64 {
 	if st == nil {
 		return 0
 	}
-	return st.dropped.Load()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.buf.Dropped()
 }
 
 // Spans returns a copy of the retained spans, oldest first.
@@ -458,25 +449,17 @@ func (st *SpanStore) Spans() []Span {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]Span, 0, len(st.buf))
-	if len(st.buf) == cap(st.buf) {
-		out = append(out, st.buf[st.next:]...)
-		out = append(out, st.buf[:st.next]...)
-	} else {
-		out = append(out, st.buf...)
-	}
-	return out
+	return st.buf.Append(make([]Span, 0, st.buf.Len()), nil)
 }
 
 // ByTrace returns the retained spans of one trace, oldest first.
 func (st *SpanStore) ByTrace(id TraceID) []Span {
-	var out []Span
-	for _, sp := range st.Spans() {
-		if sp.Trace == id {
-			out = append(out, sp)
-		}
+	if st == nil {
+		return nil
 	}
-	return out
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.buf.Append(nil, func(sp *Span) bool { return sp.Trace == id })
 }
 
 // TraceIDs returns the distinct trace IDs present in the store, in

@@ -5,6 +5,8 @@ import (
 	"io"
 	"strconv"
 	"sync"
+
+	"github.com/tieredmem/mtat/internal/ring"
 )
 
 // MaxAttrs is the number of attributes one event can carry; extra
@@ -54,24 +56,23 @@ func (e *Event) Attr(key string) (float64, bool) {
 	return 0, false
 }
 
-// Tracer records events into a fixed-capacity ring buffer: emission is
-// O(1), never allocates in steady state, and arbitrarily long runs retain
-// the most recent `capacity` events. All methods are safe for concurrent
-// use and are no-ops on a nil receiver.
+// Tracer records events into a bounded ring: emission is O(1), never
+// allocates once the ring has grown to its bound, and arbitrarily long
+// runs retain the most recent `capacity` events. All methods are safe
+// for concurrent use and are no-ops on a nil receiver.
 type Tracer struct {
 	mu    sync.Mutex
-	buf   []Event
-	next  int    // next write slot
+	buf   ring.Ring[Event]
 	count uint64 // total events ever emitted
 }
 
 // NewTracer returns a tracer retaining the last capacity events (<= 0
-// selects DefaultTraceCapacity).
+// selects DefaultTraceCapacity). Storage grows with the events emitted.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{buf: make([]Event, capacity)}
+	return &Tracer{buf: ring.New[Event](capacity)}
 }
 
 // Enabled reports whether events are being recorded. Hot paths should
@@ -94,7 +95,7 @@ func (tr *Tracer) EmitMsg(t float64, typ string, wl int, msg string, attrs ...At
 		n = MaxAttrs
 	}
 	tr.mu.Lock()
-	ev := &tr.buf[tr.next]
+	ev := tr.buf.PushSlot()
 	tr.count++
 	ev.Seq = tr.count
 	ev.T = t
@@ -103,10 +104,6 @@ func (tr *Tracer) EmitMsg(t float64, typ string, wl int, msg string, attrs ...At
 	ev.Msg = msg
 	ev.nattrs = n
 	copy(ev.attrs[:n], attrs[:n])
-	tr.next++
-	if tr.next == len(tr.buf) {
-		tr.next = 0
-	}
 	tr.mu.Unlock()
 }
 
@@ -117,7 +114,7 @@ func (tr *Tracer) Len() int {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	return tr.retained()
+	return tr.buf.Len()
 }
 
 // Count returns the total number of events ever emitted (retained or not).
@@ -130,21 +127,15 @@ func (tr *Tracer) Count() uint64 {
 	return tr.count
 }
 
-// Dropped returns how many events have been overwritten by ring wrap.
+// Dropped returns how many events have been overwritten by ring wrap
+// (Count - Len).
 func (tr *Tracer) Dropped() uint64 {
 	if tr == nil {
 		return 0
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	return tr.count - uint64(tr.retained())
-}
-
-func (tr *Tracer) retained() int {
-	if tr.count < uint64(len(tr.buf)) {
-		return int(tr.count)
-	}
-	return len(tr.buf)
+	return tr.buf.Dropped()
 }
 
 // Events returns a chronological copy of the retained events.
@@ -154,16 +145,7 @@ func (tr *Tracer) Events() []Event {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	n := tr.retained()
-	out := make([]Event, 0, n)
-	start := 0
-	if tr.count >= uint64(len(tr.buf)) {
-		start = tr.next // oldest retained slot
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, tr.buf[(start+i)%len(tr.buf)])
-	}
-	return out
+	return tr.buf.Append(make([]Event, 0, tr.buf.Len()), nil)
 }
 
 // WriteJSONL renders the retained events, oldest first, one JSON object
